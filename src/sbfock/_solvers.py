@@ -4,11 +4,13 @@ Public resolvents are materialized densely only at small dimension; the
 cutoff studies need resolvent *actions* at dimensions far beyond the
 dense cap.  Truncated spin-boson generators have exploitable structure:
 
-* the coupling graph usually splits into independent components
-  (dead modes, spin-polarized top sectors),
-* the top boson sector of a component is often internally diagonal
-  (field terms change the sector), enabling exact Schur elimination with
-  a small kept block,
+* the coupling graph splits into independent components (dead modes,
+  spin-polarized sectors, decoupled singletons); ``split_components``
+  finds them for both the resolvent and ``renorm.ground_energy``,
+* a component at or below ``DENSE_SOLVE_CAP`` is factored densely,
+* the top boson sector of a larger component is often internally
+  diagonal (field terms change the sector), enabling exact Schur
+  elimination with a small kept block,
 * otherwise the sector structure is block tridiagonal, enabling a block
   Thomas factorization,
 * and as a last resort a diagonally preconditioned GMRES is used, which
@@ -237,6 +239,23 @@ class _PermutedSolver:
         return self.inner.adjoint_solve(b[self.order])[self.inverse]
 
 
+def split_components(M: sp.csr_matrix):
+    """Connected components of the off-diagonal pattern of ``M``.
+
+    Returns the index arrays of the components with two or more states,
+    each ascending and ordered by their smallest index, and one ascending
+    array of the singletons (states that ``M`` couples to no other).
+    """
+    pattern = abs(M)
+    n_comp, labels = connected_components(pattern + pattern.T, directed=False)
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=n_comp))
+    groups = np.split(order, ends[:-1])
+    components = [idx for idx in groups if len(idx) > 1]
+    singletons = np.array([idx[0] for idx in groups if len(idx) == 1], dtype=np.int64)
+    return components, singletons
+
+
 class StructuredResolvent:
     """Action of (H - z)^{-1} (and its adjoint) for a sparse H on a
     truncated basis, decomposed over connected components."""
@@ -245,34 +264,13 @@ class StructuredResolvent:
         A = (H.tocsr() - z * sp.identity(H.shape[0], format="csr", dtype=complex)).tocsr()
         A.eliminate_zeros()
         self.shape = A.shape
-        n = A.shape[0]
-        if n <= DENSE_SOLVE_CAP:
-            self.parts = [(np.arange(n), _DenseSolve(A.toarray()))]
-            self._diag_part = None
-            return
-        pattern = sp.csr_matrix(
-            (np.abs(A.data), A.indices, A.indptr), shape=A.shape
-        )
-        pattern = pattern + pattern.T
-        n_comp, labels = connected_components(pattern, directed=False)
-        order = np.argsort(labels, kind="stable")
-        sorted_labels = labels[order]
-        starts = np.searchsorted(sorted_labels, np.arange(n_comp))
-        ends = np.append(starts[1:], n)
-        parts = []
-        singleton_idx = []
-        for c in range(n_comp):
-            idx = order[starts[c] : ends[c]]
-            if len(idx) == 1:
-                singleton_idx.append(idx[0])
-                continue
-            sub = A[idx][:, idx].tocsr()
-            parts.append((idx, _component_solver(sub, totals_per_index[idx])))
-        if singleton_idx:
-            sidx = np.asarray(singleton_idx)
-            parts.append((sidx, _DiagSolve(A[sidx, :][:, sidx].diagonal())))
-        self.parts = parts
-        self._diag_part = None
+        components, singletons = split_components(A)
+        self.parts = [
+            (idx, _component_solver(A[idx][:, idx].tocsr(), totals_per_index[idx]))
+            for idx in components
+        ]
+        if len(singletons):
+            self.parts.append((singletons, _DiagSolve(A.diagonal()[singletons])))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         out = np.zeros(self.shape[0], dtype=complex)

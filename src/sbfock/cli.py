@@ -439,21 +439,13 @@ def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
 
     F, G = _commuting_test_pair(spec.grid, dim, rng)
     m_weyl = max(spec.n_max - 6, 0)
-    tail_jobs = [
-        lambda: verify_weyl_transforms(basis, F, G, m=m_weyl),
-        lambda: verify_weyl_continuity(
+    suites += [
+        verify_weyl_transforms(basis, F, G, m=m_weyl),
+        verify_weyl_continuity(
             basis, F, G, n_samples=options["verify_samples"], m=m_weyl, seed=options["seed"]
         ),
-        lambda: verify_transformed_operator_identities(64, seed=options["seed"]),
+        verify_transformed_operator_identities(64, seed=options["seed"]),
     ]
-    if options.get("jobs", 1) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=options["jobs"]) as pool:
-            futures = [pool.submit(job) for job in tail_jobs]
-            suites.extend(f.result() for f in futures)
-    else:
-        suites.extend(job() for job in tail_jobs)
     return suites
 
 
@@ -632,9 +624,13 @@ def _cmd_report(out: Path) -> int:
 
 
 def run_command(
-    cmd: str, config_path, out_dir, seed: int | None = None, jobs: int = 1
+    cmd: str, config_path, out_dir, seed: int | None = None, tolerance_scale: float | None = None
 ) -> int:
-    """Dispatch one CLI command; returns the process exit code."""
+    """Dispatch one CLI command; returns the process exit code.
+
+    ``seed`` overrides the config seed; ``tolerance_scale`` the factor on
+    the identity tolerances of `verify`.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if cmd == "report":
@@ -642,7 +638,8 @@ def run_command(
     spec, schedule, options = parse_config(config_path)
     if seed is not None:
         options["seed"] = seed
-    options["jobs"] = max(1, jobs)
+    if tolerance_scale is not None:
+        options["tolerance_scale"] = tolerance_scale
     handlers = {
         "verify": _cmd_verify,
         "converge": _cmd_converge,
@@ -663,7 +660,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=str, help="path to the JSON run configuration")
     parser.add_argument("--out", type=str, default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads (best effort)")
     parser.add_argument(
         "--tolerance-scale",
         type=float,
@@ -675,16 +671,9 @@ def main(argv=None) -> int:
         print("error: --config is required for this command", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.tolerance_scale is not None and args.command == "verify":
-            spec, schedule, options = parse_config(args.config)
-            if args.seed is not None:
-                options["seed"] = args.seed
-            options["tolerance_scale"] = args.tolerance_scale
-            options["jobs"] = max(1, args.jobs)
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            return _cmd_verify(spec, schedule, options, out)
-        return run_command(args.command, args.config, args.out, seed=args.seed, jobs=args.jobs)
+        return run_command(
+            args.command, args.config, args.out, seed=args.seed, tolerance_scale=args.tolerance_scale
+        )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

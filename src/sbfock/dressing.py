@@ -15,9 +15,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import _solvers
 from .errors import NumericError, ResourceError, StructuralError
 from .fock import (
-    DENSE_DIM_CAP,
     OccupationBasis,
     Operator,
     annihilate,
@@ -38,17 +38,17 @@ def displacement_generator(basis: OccupationBasis, F: FormFactor) -> sp.csr_matr
     return (a - a.conj().T).tocsr()
 
 
-def weyl(basis: OccupationBasis, F: FormFactor, dense_cap: int = DENSE_DIM_CAP) -> Operator:
+def weyl(basis: OccupationBasis, F: FormFactor) -> Operator:
     """Weyl operator exp(a(F) - a*(F)) as a dense matrix.
 
     This is exp(i phi(iF)) expanded with the antilinearity of a(.) in its
     argument.  Computed by scaling-and-squaring; unitary up to rounding
-    because the truncated generator is exactly skew-adjoint.
+    because the truncated generator is exactly skew-adjoint.  Capped at
+    ``_solvers.DENSE_SOLVE_CAP`` states.
     """
-    if basis.dim > dense_cap:
-        raise ResourceError(
-            f"dense Weyl operator at dimension {basis.dim} exceeds cap {dense_cap}"
-        )
+    cap = _solvers.DENSE_SOLVE_CAP
+    if basis.dim > cap:
+        raise ResourceError(f"dense Weyl operator at dimension {basis.dim} exceeds cap {cap}")
     K = displacement_generator(basis, F)
     W = sla.expm(K.toarray())
     if not np.all(np.isfinite(W)):

@@ -24,9 +24,6 @@ from .model import FormFactor, ModeGrid, SpinSpace
 #: Hard default on the number of enumerated states.
 DEFAULT_STATE_CAP = 2_000_000
 
-#: Dimension up to which operators are densified for factorizations.
-DENSE_DIM_CAP = 4096
-
 
 @lru_cache(maxsize=None)
 def _compositions(total: int, n_parts: int) -> np.ndarray:

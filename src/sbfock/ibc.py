@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, StructuralError, NumericError
-from .fock import OccupationBasis, Operator, annihilate, create, dgamma, function_of_dgamma, identity_operator, sector_projector
+from .fock import OccupationBasis, Operator, annihilate, create, dgamma, function_of_dgamma
 from .model import FormFactor, bs_norm, ir_split
 from .reports import CheckResult, CheckSuite
 
@@ -152,20 +152,6 @@ def nilpotent_inverse(
     if resid > 1e-13:
         raise NumericError(f"(1+G)(1-G) deviates from identity by {resid:.3e}")
     return left, Operator(basis, (eye - G.conj().T).tocsr())
-
-
-def invertibility_gate(F: FormFactor, lam: float, s: float) -> dict:
-    """Which hypothesis makes 1 + G_{F,lambda} boundedly invertible:
-    exact 2-nilpotency, or the Neumann condition ||F||_{b_s} lambda^{(s-2)/2} < 1."""
-    nil = _nilpotency_violation(F)
-    neumann_bound = bs_norm(F, s) * lam ** ((s - 2.0) / 2.0)
-    if nil <= 1e-12:
-        gate = "nilpotent"
-    elif neumann_bound < 1.0:
-        gate = "neumann"
-    else:
-        gate = "none"
-    return {"gate": gate, "nilpotency_violation": nil, "neumann_bound": neumann_bound}
 
 
 def xi(basis: OccupationBasis, F: FormFactor, V: FormFactor, lam: float) -> Operator:

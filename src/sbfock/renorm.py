@@ -23,8 +23,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._solvers import DENSE_SOLVE_CAP, StructuredResolvent
-from scipy.sparse.csgraph import connected_components as _connected_components
+from . import _solvers
+from ._solvers import StructuredResolvent, split_components
 from .dressing import weyl, weyl_action
 from .errors import NumericError, ParameterError, ResourceError, StructuralError
 from .fock import OccupationBasis, Operator, SpinSpace, build_basis, dgamma, field, vacuum
@@ -138,9 +138,9 @@ def resolvent(H: Operator, z: complex, verify: bool = False) -> Operator:
     With ``verify=True`` the multiply-back residual max|(H-z)R - Id| is
     checked against 1e-10.
     """
-    if H.dim > DENSE_SOLVE_CAP:
+    if H.dim > _solvers.DENSE_SOLVE_CAP:
         raise ResourceError(
-            f"dense resolvent at dimension {H.dim} exceeds cap {DENSE_SOLVE_CAP}; "
+            f"dense resolvent at dimension {H.dim} exceeds cap {_solvers.DENSE_SOLVE_CAP}; "
             "the study operations use structured solvers instead"
         )
     A = H.dense() - z * np.eye(H.dim)
@@ -270,53 +270,39 @@ def _hermiticity_defect(mat) -> float:
 
 
 def ground_energy(H: Operator, seed: int = 0) -> float:
-    """Smallest eigenvalue; dense solver at desk scale, Lanczos above.
+    """Smallest eigenvalue, as a Python float.
 
-    The large path splits the coupling graph into its connected
-    components, resolves small ones densely, prunes components whose
-    Gershgorin lower bound lies above the running minimum, and runs a
-    Lanczos eigensolver on the remainder.
+    The coupling graph is split into its connected components.  The
+    search starts from the smallest singleton diagonal entry and visits
+    the other components in ascending order of their Gershgorin lower
+    bound, stopping at the first bound at or above the running minimum.
+    A visited component is solved densely at or below
+    ``_solvers.DENSE_SOLVE_CAP`` and by Lanczos (``eigsh``, started from
+    a vector drawn from ``seed``) above it.
     """
     defect = _hermiticity_defect(H.matrix)
     if defect > HERMITICITY_TOL:
         raise StructuralError(f"operator is not self-adjoint (defect {defect:.3e})")
-    if H.dim <= DENSE_SOLVE_CAP:
-        return float(np.linalg.eigvalsh(H.dense())[0])
     mat = H.tocsr()
     sym = ((mat + mat.conj().T) * 0.5).tocsr()
-    rng = np.random.default_rng(seed)
-
-    pattern = sp.csr_matrix((np.abs(sym.data), sym.indices, sym.indptr), shape=sym.shape)
-    pattern = pattern + pattern.T
-    n_comp, labels = _connected_components(pattern, directed=False)
-    order = np.argsort(labels, kind="stable")
-    starts = np.searchsorted(labels[order], np.arange(n_comp))
-    ends = np.append(starts[1:], sym.shape[0])
+    components, singletons = split_components(sym)
     diag = sym.diagonal().real
-    abs_rows = np.asarray(
-        sp.csr_matrix((np.abs(sym.data), sym.indices, sym.indptr), shape=sym.shape).sum(axis=1)
-    ).ravel()
-    gersh = diag - (abs_rows - np.abs(sym.diagonal()))
-
-    comps = [order[starts[c] : ends[c]] for c in range(n_comp)]
-    comps.sort(key=len)
-    best = np.inf
-    deferred = []
-    for idx in comps:
-        if len(idx) == 1:
-            best = min(best, diag[idx[0]])
-        elif len(idx) <= DENSE_SOLVE_CAP:
-            sub = sym[idx][:, idx].toarray()
-            best = min(best, float(np.linalg.eigvalsh(sub)[0]))
+    abs_rows = np.asarray(abs(sym).sum(axis=1)).ravel()
+    gersh = diag - (abs_rows - np.abs(diag))
+    bounds = [float(np.min(gersh[idx])) for idx in components]
+    best = float(np.min(diag[singletons])) if len(singletons) else np.inf
+    rng = np.random.default_rng(seed)
+    for c in np.argsort(bounds, kind="stable"):
+        if bounds[c] >= best:
+            break
+        idx = components[c]
+        if len(idx) <= _solvers.DENSE_SOLVE_CAP:
+            low = np.linalg.eigvalsh(sym[idx][:, idx].toarray())[0]
         else:
-            deferred.append(idx)
-    for idx in deferred:
-        if float(np.min(gersh[idx])) >= best:
-            continue
-        sub = sym[idx][:, idx].tocsr()
-        v0 = rng.standard_normal(len(idx))
-        vals = spla.eigsh(sub, k=1, which="SA", v0=v0, return_eigenvectors=False, tol=1e-9)
-        best = min(best, float(vals[0]))
+            v0 = rng.standard_normal(len(idx))
+            sub = sym[idx][:, idx].tocsr()
+            low = spla.eigsh(sub, k=1, which="SA", v0=v0, return_eigenvectors=False, tol=1e-9)[0]
+        best = min(best, float(low))
     return best
 
 
@@ -402,15 +388,6 @@ class ConvergenceReport:
         return "PASS" if self.passed else "FAIL"
 
 
-def _structured_or_dense_resolvent(H: Operator, z: complex) -> StructuredResolvent:
-    totals = np.repeat(H.basis.totals, H.basis.spin.dim)
-    return StructuredResolvent(H.tocsr(), z, totals)
-
-
-def _sparse_ground_energy(H: Operator, seed: int = 0) -> float:
-    return ground_energy(H, seed=seed)
-
-
 def convergence_study(
     spec: HamiltonianSpec,
     schedule,
@@ -451,8 +428,9 @@ def convergence_study(
     defect = _hermiticity_defect(H_lim.matrix)
     if defect > 1e-12 * max(1.0, spec.lam):
         raise NumericError(f"renormalized operator hermiticity defect {defect:.3e}")
-    R_lim = _structured_or_dense_resolvent(H_lim, z)
-    g_lim = _sparse_ground_energy(H_lim, seed=seed)
+    totals = np.repeat(basis.totals, basis.spin.dim)
+    R_lim = StructuredResolvent(H_lim.tocsr(), z, totals)
+    g_lim = ground_energy(H_lim, seed=seed)
     V_total = spec.coupling.total()
     report = ConvergenceReport(schedule=schedule)
     rng = np.random.default_rng(seed)
@@ -464,10 +442,10 @@ def convergence_study(
         H_L = Operator(
             basis, (H_L.tocsr() + sp.kron(sp.identity(basis.n_fock), sp.csr_matrix(E_L))).tocsr()
         )
-        R_L = _structured_or_dense_resolvent(H_L, z)
+        R_L = StructuredResolvent(H_L.tocsr(), z, totals)
         # the top singular vector moves little between cutoffs
         dist, v0 = _resolvent_distance(R_L, R_lim, v0, opnorm_tol, opnorm_max_iter)
-        g_reg = _sparse_ground_energy(H_L, seed=seed)
+        g_reg = ground_energy(H_L, seed=seed)
         report.rows.append(
             ConvergenceRow(
                 Lambda=Lam,

@@ -200,6 +200,13 @@ def test_byte_identical_reruns(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
 
 
+def test_tolerance_scale_flag_tightens_verify(tmp_path):
+    p = write_config(tmp_path, minimal_ex2())
+    args = ["verify", "--config", str(p), "--out", str(tmp_path / "out")]
+    assert main(args + ["--tolerance-scale", "1e-30"]) == 1
+    assert main(args) == 0
+
+
 def test_shipped_default_config_verifies(tmp_path):
     code = run_command("verify", CONFIGS / "ex2_default.json", tmp_path / "out")
     assert code == 0

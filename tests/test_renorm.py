@@ -284,6 +284,35 @@ def test_ground_energy_large_path_matches_closed_form():
     assert ground_energy(H) == pytest.approx(expected, abs=1e-9)
 
 
+def test_ground_energy_rotating_wave_singleton_is_python_float():
+    # sigma_minus coupling leaves vacuum x spin-down decoupled at energy -1,
+    # below every other component of this weakly coupled model
+    g = grid_of([1.0, 2.0, 3.0, 4.0], mus=[1.0, 1.0, 1.0, 1.0])
+    basis = build_basis(g, SpinSpace(2), 13)
+    assert basis.dim > 4096
+    H = h_reg(basis, SIGMA_Z.real, separable(g, np.full(4, 0.3), SIGMA_MINUS))
+    assert repr(ground_energy(H)) == "-1.0"
+
+
+def test_ground_energy_permuted_blocks_match_dense():
+    # singletons and components on both sides of the Gershgorin cut, with
+    # the minimum inside a component, scrambled by a random permutation
+    rng = np.random.default_rng(5)
+    g = grid_of([1.0, 2.0])
+    basis = build_basis(g, SpinSpace(1), 9)
+    blocks = [np.array([[d]]) for d in (0.5, -0.2, 3.0, 7.0)]
+    for size, shift in ((3, -2.0), (5, -0.5), (4, 0.1), (6, 4.0), (2, 9.0)):
+        X = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        blocks.append(0.3 * (X + X.conj().T) + shift * np.eye(size))
+    sizes = sum(len(b) for b in blocks)
+    blocks += [np.array([[1.0 + k]]) for k in range(basis.dim - sizes)]
+    dense = sp.block_diag(blocks).toarray()
+    perm = rng.permutation(basis.dim)
+    dense = dense[perm][:, perm]
+    H = Operator(basis, sp.csr_matrix(dense))
+    assert ground_energy(H) == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-12)
+
+
 # ------------------------------------------------------- convergence_study
 
 
