@@ -283,8 +283,3 @@ class StructuredResolvent:
         for idx, solver in self.parts:
             out[idx] = solver.adjoint_solve(np.asarray(b, dtype=complex)[idx])
         return out
-
-    def as_linear_operator(self) -> spla.LinearOperator:
-        return spla.LinearOperator(
-            self.shape, matvec=self.solve, rmatvec=self.adjoint_solve, dtype=complex
-        )

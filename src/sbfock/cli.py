@@ -31,8 +31,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, NumericError, SbfockError
-from .fock import Operator, SpinSpace, build_basis, create, dgamma, field, sector_projector
-from .ibc import t_op, verify_ibc_bounds, xi
+from .fock import Operator, SpinSpace, build_basis, create, dgamma, field
+from .ibc import restricted_block, t_op, verify_ibc_bounds, xi
 from .dressing import verify_weyl_continuity, verify_weyl_transforms
 from .model import (
     SIGMA_MINUS,
@@ -46,15 +46,14 @@ from .model import (
     bs_inner,
     check_structure,
     power_law_grid,
-    renorm_energy,
     separable,
-    uv_truncate,
     zero_form_factor,
 )
 from .renorm import (
     HamiltonianSpec,
     convergence_study,
     ground_energy,
+    h_cutoff,
     h_reg,
     vanhove_demo,
     verify_transformed_operator_identities,
@@ -368,7 +367,11 @@ def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
     basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
     dim = spec.spin_dim
     m_safe = max(spec.n_max - 2, 0)
-    P = sector_projector(basis, m_safe).tocsr()
+
+    def block_max(X):
+        """max |X| on the total-boson-number <= m_safe block."""
+        return float(np.max(np.abs(restricted_block(Operator(basis, X), m_safe))))
+
     eye_fock = sp.identity(basis.n_fock, format="csr")
     suites = [check_structure(spec.coupling)]
 
@@ -380,16 +383,14 @@ def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
         phiG = field(basis, G).tocsr()
         comm = phiF @ phiG - phiG @ phiF
         shift = sp.kron(eye_fock, sp.csr_matrix(bs_inner(F, G, 0.0) - bs_inner(G, F, 0.0)))
-        dev = P @ (comm - shift) @ P
-        dev_val = float(np.max(np.abs(dev.toarray())))
+        dev_val = block_max(comm - shift)
         ccr.add(CheckResult(f"field_commutator_{trial}", dev_val <= tol_id, dev_val, tol_id))
         dg = dgamma(basis, spec.grid.omegas).tocsr()
         omegaF = FormFactor(spec.grid, spec.grid.omegas[:, None, None] * F.values)
         expected = create(basis, omegaF).tocsr() - (
             create(basis, omegaF).tocsr().conj().T
         )
-        dev2 = P @ ((dg @ phiF - phiF @ dg) - expected) @ P
-        dev2_val = float(np.max(np.abs(dev2.toarray())))
+        dev2_val = block_max((dg @ phiF - phiF @ dg) - expected)
         ccr.add(
             CheckResult(f"number_commutator_{trial}", dev2_val <= tol_id, dev2_val, tol_id)
         )
@@ -408,8 +409,7 @@ def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
         oracle = ad.conj().T @ res @ ad - sp.kron(
             eye_fock, sp.csr_matrix(bs_inner(F, F, 1.0))
         )
-        dev = P @ (T.tocsr() - oracle) @ P
-        dev_val = float(np.max(np.abs(dev.toarray())))
+        dev_val = block_max(T.tocsr() - oracle)
         ibc_suite.add(
             CheckResult(f"normal_ordering_{trial}", dev_val <= tol_id, dev_val, tol_id)
         )
@@ -420,8 +420,7 @@ def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
             + sp.kron(eye_fock, sp.csr_matrix(bs_inner(spec.coupling.v_n, spec.coupling.v_n, 1.0)))
             + lam * sp.identity(basis.dim, format="csr")
         )
-        dev = P @ (Xi.tocsr() - target) @ P
-        dev_val = float(np.max(np.abs(dev.toarray())))
+        dev_val = block_max(Xi.tocsr() - target)
         ibc_suite.add(CheckResult("boundary_identity", dev_val <= tol_id, dev_val, tol_id))
     suites.append(ibc_suite)
 
@@ -570,18 +569,9 @@ def _cmd_vanhove(spec, schedule, options, out: Path) -> int:
 
 def _cmd_spectrum(spec, schedule, options, out: Path) -> int:
     basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
-    V_total = spec.coupling.total()
     rows = []
     for Lam in schedule:
-        V_L = uv_truncate(V_total, Lam)
-        E_L = renorm_energy(V_L)
-        H_L = Operator(
-            basis,
-            (
-                h_reg(basis, spec.S, V_L).tocsr()
-                + sp.kron(sp.identity(basis.n_fock), sp.csr_matrix(E_L))
-            ).tocsr(),
-        )
+        H_L, E_L = h_cutoff(basis, spec, Lam)
         g = ground_energy(H_L, seed=options["seed"])
         rows.append((Lam, float(np.trace(E_L).real), g, options["config_hash"]))
         print(f"Lambda={Lam:g} ground_energy={g:.8g}")

@@ -1,30 +1,26 @@
 """Generalized Weyl (displacement) operators and their transformation laws.
 
-``weyl(basis, F)`` is the matrix exponential of a(F) - a*(F).  The
-generator is assembled on the truncated basis and is exactly
-skew-adjoint there, so the exponential is unitary to machine precision;
-what truncation costs is accuracy of individual matrix elements near the
-top boson sectors, which is why every identity below is asserted on
-sector-restricted blocks.
+W(F) = exp(a(F) - a*(F)) is computed one way: ``weyl_action`` applies it,
+or its adjoint, to a vector or a block of columns with the matrix-free
+``expm_multiply`` (Al-Mohy & Higham 2011), without forming W.  ``weyl``
+is that action on the identity, for callers that need the whole matrix.
+The generator is assembled on the truncated basis and is exactly
+skew-adjoint there, so W is unitary to machine precision; what
+truncation costs is accuracy of individual matrix elements near the top
+boson sectors, which is why every identity below is asserted on a
+sector-restricted block, and the checks apply W only to the unit
+columns of that block.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _solvers
-from .errors import NumericError, ResourceError, StructuralError
-from .fock import (
-    OccupationBasis,
-    Operator,
-    annihilate,
-    dgamma,
-    field,
-    sector_projector,
-)
+from .errors import NumericError, ParameterError, ResourceError, StructuralError
+from .fock import OccupationBasis, Operator, annihilate, dgamma, field
 from .model import FormFactor, bs_inner, bs_norm
 from .reports import CheckResult, CheckSuite
 
@@ -39,31 +35,48 @@ def displacement_generator(basis: OccupationBasis, F: FormFactor) -> sp.csr_matr
 
 
 def weyl(basis: OccupationBasis, F: FormFactor) -> Operator:
-    """Weyl operator exp(a(F) - a*(F)) as a dense matrix.
+    """Weyl operator exp(a(F) - a*(F)) as a dense matrix: ``weyl_action``
+    applied to the identity.
 
     This is exp(i phi(iF)) expanded with the antilinearity of a(.) in its
-    argument.  Computed by scaling-and-squaring; unitary up to rounding
-    because the truncated generator is exactly skew-adjoint.  Capped at
-    ``_solvers.DENSE_SOLVE_CAP`` states.
+    argument; unitary up to rounding because the truncated generator is
+    exactly skew-adjoint.  Capped at ``_solvers.DENSE_SOLVE_CAP`` states.
     """
     cap = _solvers.DENSE_SOLVE_CAP
     if basis.dim > cap:
         raise ResourceError(f"dense Weyl operator at dimension {basis.dim} exceeds cap {cap}")
-    K = displacement_generator(basis, F)
-    W = sla.expm(K.toarray())
+    apply_W, _ = weyl_action(basis, F)
+    W = apply_W(np.eye(basis.dim, dtype=complex))
     if not np.all(np.isfinite(W)):
         raise NumericError("Weyl exponential produced non-finite entries")
     return Operator(basis, W)
 
 
 def weyl_action(basis: OccupationBasis, F: FormFactor):
-    """Matrix-free application of the Weyl operator and its adjoint,
-    for dimensions where the dense exponential is not affordable."""
+    """Matrix-free actions x -> W(F) x and x -> W(F)^* x.
+
+    ``x`` is a vector or a (dim, k) block of columns.  Each call runs
+    ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham 2011) on the
+    sparse skew-adjoint generator K = a(F) - a*(F), with W^* = exp(-K);
+    its cost grows with the number of columns and the norm of K, and it
+    forms no array larger than ``x``.
+    """
     K = displacement_generator(basis, F)
     return (
         lambda x: spla.expm_multiply(K, x),
         lambda x: spla.expm_multiply(-K, x),
     )
+
+
+def _sector_columns(basis: OccupationBasis, m: int):
+    """Indices of the states with total boson number <= m, and the unit
+    vectors on them as the columns of a (dim, len(indices)) array."""
+    if not 0 <= m <= basis.n_max:
+        raise ParameterError("sector bound m must satisfy 0 <= m <= n_max")
+    idx = np.nonzero(np.repeat(basis.totals <= m, basis.spin.dim))[0]
+    units = np.zeros((basis.dim, len(idx)), dtype=complex)
+    units[idx, np.arange(len(idx))] = 1.0
+    return idx, units
 
 
 def conjugate(H: Operator, W: Operator) -> Operator:
@@ -102,35 +115,29 @@ def verify_weyl_transforms(
     tol = 1e-7
     hyp = _pointwise_commutators_vanish(F, G)
     if hyp > HYPOTHESIS_TOL:
-        suite.add(
-            CheckResult(
-                "field_transform", True, 0.0, tol, skipped=True, details={"hypothesis": hyp}
-            )
-        )
-        suite.add(
-            CheckResult(
-                "number_transform", True, 0.0, tol, skipped=True, details={"hypothesis": hyp}
-            )
-        )
+        for name in ("field_transform", "number_transform"):
+            suite.add(CheckResult(name, True, 0.0, tol, skipped=True, details={"hypothesis": hyp}))
         return suite
     if m is None:
         m = max(basis.n_max - 3, 0)
-    P = sector_projector(basis, m).tocsr()
-    W = weyl(basis, F).matrix
-    eye_fock = np.eye(basis.n_fock)
+    idx, units = _sector_columns(basis, m)
+    _, apply_W_adjoint = weyl_action(basis, F)
+    Y = apply_W_adjoint(units)  # W^*[:, sel], so (W X W^*)[sel, sel] = Y^H X Y
+    eye_fock = sp.identity(basis.n_fock, format="csr")
 
-    phiG = field(basis, G).dense()
-    lhs = W @ phiG @ W.conj().T
+    def block_deviation(X, expected):
+        lhs = Y.conj().T @ (X @ Y)
+        return float(np.max(np.abs(lhs - expected[idx][:, idx].toarray())))
+
+    phiG = field(basis, G).tocsr()
     shift = bs_inner(F, G, 0.0) + bs_inner(G, F, 0.0)
-    rhs = phiG + np.kron(eye_fock, shift)
-    dev = float(np.max(np.abs(P @ (lhs - rhs) @ P)))
+    dev = block_deviation(phiG, phiG + sp.kron(eye_fock, shift, format="csr"))
     suite.add(CheckResult("field_transform", dev <= tol, dev, tol))
 
-    dg = dgamma(basis, basis.grid.omegas).dense()
+    dg = dgamma(basis, basis.grid.omegas).tocsr()
     omegaF = FormFactor(basis.grid, basis.grid.omegas[:, None, None] * F.values)
-    lhs2 = W @ dg @ W.conj().T
-    rhs2 = dg + field(basis, omegaF).dense() + np.kron(eye_fock, bs_inner(F, F, -1.0))
-    dev2 = float(np.max(np.abs(P @ (lhs2 - rhs2) @ P)))
+    shift2 = sp.kron(eye_fock, bs_inner(F, F, -1.0), format="csr")
+    dev2 = block_deviation(dg, dg + field(basis, omegaF).tocsr() + shift2)
     suite.add(CheckResult("number_transform", dev2 <= tol, dev2, tol))
     return suite
 
@@ -165,24 +172,26 @@ def verify_weyl_continuity(
         return suite
     if m is None:
         m = max(basis.n_max - 4, 0)
+    idx, units = _sector_columns(basis, m)
     rng = np.random.default_rng(seed)
-    WF = weyl(basis, F).matrix
-    WG = weyl(basis, G).matrix
+    apply_WF, _ = weyl_action(basis, F)
+    apply_WG, _ = weyl_action(basis, G)
+    # every sample vector is supported on the sector block, so only its
+    # columns of W(F) - W(G) are read
+    diff_W = apply_WF(units) - apply_WG(units)
     diff_ff = FormFactor(basis.grid, F.values - G.values)
     gen_ff = FormFactor(basis.grid, 1j * (F.values - G.values))
-    phi_diff = field(basis, gen_ff).dense()
+    phi_diff = field(basis, gen_ff).tocsr()[:, idx]
     pairing = bs_inner(F, gen_ff, 0.0) + bs_inner(gen_ff, F, 0.0)
-    pairing_full = np.kron(np.eye(basis.n_fock), pairing)
-    sel = np.repeat(basis.totals <= m, basis.spin.dim)
+    pairing_cols = sp.kron(sp.identity(basis.n_fock), pairing, format="csr")[:, idx]
 
     worst = 0.0
-    diff_W = WF - WG
     for _ in range(n_samples):
         psi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-        psi = np.where(sel, psi, 0.0)
+        psi = psi[idx]
         psi /= np.linalg.norm(psi)
         lhs = np.linalg.norm(diff_W @ psi)
-        rhs = np.linalg.norm(phi_diff @ psi) + 0.5 * np.linalg.norm(pairing_full @ psi)
+        rhs = np.linalg.norm(phi_diff @ psi) + 0.5 * np.linalg.norm(pairing_cols @ psi)
         if rhs == 0.0:
             worst = max(worst, 0.0 if lhs < 1e-300 else np.inf)
         else:
@@ -194,10 +203,10 @@ def verify_weyl_continuity(
     base = 4.0 * max(bs_norm(diff_ff, 0.0), bs_norm(diff_ff, 1.0)) + 0.5 * np.linalg.norm(
         pairing, ord=2
     )
-    energies = np.repeat(basis.energies, basis.spin.dim)
+    energies = np.repeat(basis.energies, basis.spin.dim)[idx]
     for theta, name in ((0.0, "theta0_norm_bound"), (1.0, "theta1_norm_bound")):
         weight = (1.0 + energies) ** (-theta / 2.0)
-        mat = (diff_W * weight[None, :])[np.ix_(sel, sel)]
+        mat = diff_W[idx] * weight[None, :]
         lhs = np.linalg.norm(mat, ord=2)
         rhs = 2.0 ** (1.0 - theta) * base**theta
         ratio = 0.0 if rhs == 0.0 and lhs < 1e-300 else (np.inf if rhs == 0.0 else lhs / rhs)

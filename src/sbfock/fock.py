@@ -163,18 +163,6 @@ class Operator:
             return Operator(self.basis, self.matrix @ other.matrix)
         return self.matrix @ other
 
-    def shifted(self, scalar) -> "Operator":
-        """self + scalar * Identity (sparse-friendly)."""
-        if sp.issparse(self.matrix):
-            return Operator(
-                self.basis, (self.matrix + scalar * sp.identity(self.dim, format="csr")).tocsr()
-            )
-        return Operator(self.basis, self.matrix + scalar * np.eye(self.dim))
-
-
-def identity_operator(basis: OccupationBasis) -> Operator:
-    return Operator(basis, sp.identity(basis.dim, format="csr", dtype=complex))
-
 
 def build_basis(
     grid: ModeGrid, spin: SpinSpace, n_max: int, max_states: int = DEFAULT_STATE_CAP

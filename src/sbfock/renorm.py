@@ -93,6 +93,20 @@ def h_reg(basis: OccupationBasis, S: np.ndarray, V: FormFactor) -> Operator:
     return Operator(basis, mat.tocsr())
 
 
+def h_cutoff(basis: OccupationBasis, spec: HamiltonianSpec, Lam: float):
+    """Regularized Hamiltonian at cutoff ``Lam`` with its self-energy
+    counterterm, H_Lam = h_reg(S, V_Lam) + 1 (x) E_Lam.
+
+    Returns H_Lam and the counterterm matrix E_Lam.
+    """
+    V_L = uv_truncate(spec.coupling.total(), Lam)
+    E_L = renorm_energy(V_L)
+    H_L = h_reg(basis, spec.S, V_L).tocsr() + sp.kron(
+        sp.identity(basis.n_fock), sp.csr_matrix(E_L)
+    )
+    return Operator(basis, H_L.tocsr()), E_L
+
+
 def h_renormalized(basis: OccupationBasis, spec: HamiltonianSpec) -> Operator:
     """Cutoff-independent Hamiltonian assembled through the boundary
     representation of the nilpotent part and the dressing transformation
@@ -173,7 +187,7 @@ def _as_actions(A):
     return (lambda x: A @ x), (lambda x: A.conj().T @ x), A.shape[0]
 
 
-def opnorm(A, rel_tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0, x0=None) -> float:
+def opnorm(A, rel_tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0) -> float:
     """Largest singular value by power iteration on A^* A.
 
     Deterministic for a fixed seed; raises ``NumericError`` carrying the
@@ -183,15 +197,9 @@ def opnorm(A, rel_tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0, x0=N
     matvec, rmatvec, n = _as_actions(A)
     if n == 0:
         return 0.0
-    if x0 is not None:
-        x = np.asarray(x0, dtype=complex)
-    else:
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    nx = np.linalg.norm(x)
-    if nx == 0:
-        raise ParameterError("start vector must be nonzero")
-    x = x / nx
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x = x / np.linalg.norm(x)
     sigma_prev = -1.0
     delta_prev = np.inf
     for _ in range(max_iter):
@@ -223,7 +231,7 @@ def opnorm(A, rel_tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0, x0=N
     )
 
 
-def _resolvent_distance(R_a, R_b, v0, rel_tol: float, max_iter: int):
+def _resolvent_distance(R_a, R_b, v0, probe, rel_tol: float, max_iter: int):
     """|| R_a - R_b || for two ``StructuredResolvent``s, as the square root
     of the largest eigenvalue of the Hermitian D^* D, D = R_a - R_b.
 
@@ -231,8 +239,11 @@ def _resolvent_distance(R_a, R_b, v0, rel_tol: float, max_iter: int):
     clustered top singular values that stall power iteration.  ``rel_tol``
     is ARPACK's relative accuracy of that eigenvalue and ``max_iter`` its
     cap on implicit restarts.  Returns the norm and the top right singular
-    vector.  ARPACK failures raise ``NumericError``; on no convergence it
-    carries the best partial estimate (or ``None``).
+    vector.  When ARPACK fails and D maps the random vector ``probe`` to
+    zero, D = 0 and the result is (0.0, probe); ``v0`` does not decide
+    this, since a previous Ritz vector can lie in the null space of a
+    nonzero D.  Other ARPACK failures raise ``NumericError``; on no
+    convergence it carries the best partial estimate (or ``None``).
     """
     n = R_a.shape[0]
 
@@ -258,6 +269,8 @@ def _resolvent_distance(R_a, R_b, v0, rel_tol: float, max_iter: int):
             best_estimate=best,
         ) from exc
     except spla.ArpackError as exc:
+        if not np.any(apply_d(probe)):  # D = 0 leaves Lanczos no Krylov space
+            return 0.0, probe
         raise NumericError(f"Lanczos norm estimate failed: {exc}") from exc
     return float(np.sqrt(max(float(vals[0]), 0.0))), vecs[:, 0]
 
@@ -415,9 +428,9 @@ def convergence_study(
     ``opnorm_tol`` is the relative accuracy requested of that eigenvalue,
     so D_Lambda is accurate to about ``opnorm_tol / 2`` relative;
     ``opnorm_max_iter`` caps ARPACK's implicit restarts, beyond which
-    ``NumericError`` is raised.  ``opnorm_abs_tol`` is the absolute floor
-    below which an increase between successive distances counts as a tie
-    in the nonincreasing check.
+    ``NumericError`` is raised; an exactly zero D gives D_Lambda = 0.0.
+    ``opnorm_abs_tol`` is the absolute floor below which an increase
+    between successive distances counts as a tie in the nonincreasing check.
     """
     schedule = [float(L) for L in schedule]
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -431,20 +444,15 @@ def convergence_study(
     totals = np.repeat(basis.totals, basis.spin.dim)
     R_lim = StructuredResolvent(H_lim.tocsr(), z, totals)
     g_lim = ground_energy(H_lim, seed=seed)
-    V_total = spec.coupling.total()
     report = ConvergenceReport(schedule=schedule)
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    probe = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    v0 = probe
     for Lam in schedule:
-        V_L = uv_truncate(V_total, Lam)
-        E_L = renorm_energy(V_L)
-        H_L = h_reg(basis, spec.S, V_L)
-        H_L = Operator(
-            basis, (H_L.tocsr() + sp.kron(sp.identity(basis.n_fock), sp.csr_matrix(E_L))).tocsr()
-        )
+        H_L, E_L = h_cutoff(basis, spec, Lam)
         R_L = StructuredResolvent(H_L.tocsr(), z, totals)
         # the top singular vector moves little between cutoffs
-        dist, v0 = _resolvent_distance(R_L, R_lim, v0, opnorm_tol, opnorm_max_iter)
+        dist, v0 = _resolvent_distance(R_L, R_lim, v0, probe, opnorm_tol, opnorm_max_iter)
         g_reg = ground_energy(H_L, seed=seed)
         report.rows.append(
             ConvergenceRow(

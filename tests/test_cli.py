@@ -151,6 +151,32 @@ def test_converge_supercritical_fails_by_design(tmp_path):
     assert rows and all(r["verdict"] == "FAIL" for r in rows)
 
 
+def test_converge_zero_distance_passes(tmp_path):
+    # no coupling and dyadic frequencies: H_Lambda and H_lim are the same
+    # diagonal matrix, so every resolvent distance is exactly zero
+    cfg = {
+        "grid": {
+            "family": "explicit",
+            "kappa": 1.0,
+            "modes": [
+                {"omega": 0.5, "mu": 0.5},
+                {"omega": 2.0, "mu": 1.0},
+                {"omega": 4.0, "mu": 1.0},
+            ],
+        },
+        "spin": {"dim": 2, "S": "sigma_z"},
+        "fock": {"n_max": 3},
+        "ibc": {"lambda": 1.0},
+        "run": {"schedule": [2.0, 8.0]},
+    }
+    p = write_config(tmp_path, cfg)
+    assert main(["converge", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+    with (tmp_path / "out" / "converge.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["resolvent_distance"] for r in rows] == ["0.0", "0.0"]
+    assert all(r["verdict"] == "PASS" for r in rows)
+
+
 def test_report_on_empty_dir_fails(tmp_path):
     assert run_command("report", None, tmp_path / "empty") == 2
 

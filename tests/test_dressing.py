@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from sbfock import (
     FormFactor,
@@ -13,7 +14,14 @@ from sbfock import (
     separable,
     zero_form_factor,
 )
-from sbfock.dressing import conjugate, verify_weyl_continuity, verify_weyl_transforms, weyl
+from sbfock import _solvers
+from sbfock.dressing import (
+    conjugate,
+    displacement_generator,
+    verify_weyl_continuity,
+    verify_weyl_transforms,
+    weyl,
+)
 from sbfock.fock import Operator, build_basis, dgamma, field, parity, sector_projector, vacuum
 from sbfock.ibc import restricted_block
 
@@ -43,6 +51,16 @@ def test_weyl_exactly_unitary():
     F = FormFactor(g, np.array([0.4 + 0.2j]))
     W = weyl(basis, F).dense()
     assert np.max(np.abs(W.conj().T @ W - np.eye(basis.dim))) <= 1e-13
+
+
+def test_weyl_matches_dense_expm():
+    # dense scaling-and-squaring of the whole generator is the oracle
+    g = grid_of([0.6, 1.5, 2.5], mus=[0.5, 1.0, 1.2])
+    basis = build_basis(g, SpinSpace(2), 6)
+    F = separable(g, [0.3, 0.2 + 0.1j, 0.15], SIGMA_X)
+    W = weyl(basis, F).dense()
+    oracle = sla.expm(displacement_generator(basis, F).toarray())
+    assert np.max(np.abs(W - oracle)) <= 1e-13
 
 
 def coherent_column(basis, c):
@@ -218,3 +236,21 @@ def test_weyl_continuity_spin_family():
     G = separable(g, 0.2 * rng.standard_normal(3), SIGMA_X)
     suite = verify_weyl_continuity(basis, F, G, n_samples=100, m=basis.n_max - 4)
     assert suite.passed
+
+
+# ------------------------------------------------------- above the dense cap
+
+
+def test_weyl_checks_above_dense_cap():
+    # both checks apply W only to the sector <= m columns, so a basis the
+    # dense Weyl operator refuses is fine when m is small
+    g = grid_of([0.6, 0.9, 1.3, 1.7, 2.2, 2.8, 3.5])
+    basis = build_basis(g, SpinSpace(1), 8)
+    assert basis.dim > _solvers.DENSE_SOLVE_CAP
+    F = FormFactor(g, 0.1 * np.array([1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.2]))
+    G = FormFactor(g, 0.1 * np.array([0.9, 0.7, 0.7, 0.4, 0.5, 0.2, 0.3]))
+    transforms = verify_weyl_transforms(basis, F, G, m=1)
+    continuity = verify_weyl_continuity(basis, F, G, n_samples=20, m=1)
+    for suite in (transforms, continuity):
+        assert suite.passed
+        assert not any(r.skipped for r in suite.results)

@@ -439,6 +439,16 @@ def test_convergence_study_lanczos_nonconvergence_raises():
         convergence_study(supercritical_spec(), [2.0], opnorm_max_iter=1)
 
 
+def test_convergence_study_zero_distance_passes():
+    # no coupling and dyadic frequencies: H_Lambda and H_lim are the same
+    # diagonal matrix, so D = 0 and Lanczos has no Krylov space to build
+    g = grid_of([0.5, 2.0, 4.0], mus=[0.5, 1.0, 1.0])
+    spec = make_spec(g, None, None, None, None, None, None, 2, n_max=3, S=SIGMA_Z.real)
+    rep = convergence_study(spec, [2.0, 8.0])
+    assert [r.resolvent_distance for r in rep.rows] == [0.0, 0.0]
+    assert rep.verdict == "PASS"
+
+
 # ------------------------------------------------------------- van Hove demo
 
 
