@@ -2,26 +2,31 @@
 
 Public resolvents are materialized densely only at small dimension; the
 cutoff studies need resolvent *actions* at dimensions far beyond the
-dense cap.  Truncated spin-boson generators have exploitable structure:
+dense cap.  The coupling graph of a truncated spin-boson generator
+splits into independent components (dead modes, spin-polarized sectors,
+decoupled singletons); ``split_components`` finds them for both the
+resolvent and ``renorm.ground_energy``.  A component above
+``DENSE_SOLVE_CAP`` takes one of two special paths:
 
-* the coupling graph splits into independent components (dead modes,
-  spin-polarized sectors, decoupled singletons); ``split_components``
-  finds them for both the resolvent and ``renorm.ground_energy``,
-* a component at or below ``DENSE_SOLVE_CAP`` is factored densely,
-* the top boson sector of a larger component is often internally
-  diagonal (field terms change the sector), enabling exact Schur
-  elimination with a small kept block,
-* otherwise the sector structure is block tridiagonal, enabling a block
-  Thomas factorization,
-* and as a last resort a diagonally preconditioned GMRES is used, which
-  converges quickly exactly in the regimes where the other shapes fail
-  (weak intra-sector coupling).
+* Schur: when its top boson sector is internally diagonal (field terms
+  change the sector), that sector is eliminated exactly and a dense
+  Schur complement on the kept block (at most ``SCHUR_KEPT_CAP`` states)
+  is factored;
+* GMRES: otherwise, with more than ``GMRES_MIN_ROW_NNZ`` nonzeros per
+  row, a diagonally preconditioned GMRES is used; it converges quickly
+  in exactly these regimes (weak intra-sector coupling), where a direct
+  factorization fills in.
 
-All solvers support the adjoint solve with the same factorization, since
-the eliminations commute with conjugate transposition.
+Every other state, singletons included, goes into one sparse LU
+(SuperLU, minimum-degree ordering on A^T + A).
+
+All parts solve a vector or an (n, k) block, and the adjoint with the
+same factorization.  A singular factorization raises ``NumericError``.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import scipy.linalg as sla
@@ -33,31 +38,30 @@ from .errors import NumericError
 
 DENSE_SOLVE_CAP = 4096
 SCHUR_KEPT_CAP = 6144
-TRIDIAG_BLOCK_CAP = 9000
+GMRES_MIN_ROW_NNZ = 32
 GMRES_RTOL = 1e-12
 GMRES_MAXITER = 400
 
 
-class _DiagSolve:
-    def __init__(self, diag: np.ndarray):
-        self.inv = 1.0 / diag
+def _rows(d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Scale the rows of a vector or (n, k) block ``b`` by ``d``."""
+    return (d if b.ndim == 1 else d[:, None]) * b
+
+
+class _SparseLUSolve:
+    """One SuperLU factorization of the states outside Schur and GMRES."""
+
+    def __init__(self, A: sp.csr_matrix):
+        try:
+            self.lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise NumericError(f"singular sparse LU: {exc}") from exc
 
     def solve(self, b):
-        return self.inv * b
+        return self.lu.solve(b)
 
     def adjoint_solve(self, b):
-        return np.conj(self.inv) * b
-
-
-class _DenseSolve:
-    def __init__(self, A: np.ndarray):
-        self.factor = sla.lu_factor(A)
-
-    def solve(self, b):
-        return sla.lu_solve(self.factor, b)
-
-    def adjoint_solve(self, b):
-        return sla.lu_solve(self.factor, b, trans=2)
+        return self.lu.solve(b, trans="H")
 
 
 class _SchurSolve:
@@ -70,102 +74,44 @@ class _SchurSolve:
         self.A_KE = A[keep][:, elim].tocsr()
         self.A_EK = A[elim][:, keep].tocsr()
         d_EE = A[elim][:, elim].diagonal()
+        if not np.all(d_EE):
+            raise NumericError("zero diagonal entry in the Schur-eliminated sector")
         self.d_inv = 1.0 / d_EE
         correction = (self.A_KE.multiply(self.d_inv[None, :])).tocsr() @ self.A_EK
         schur = self.A_KK.toarray() - correction.toarray()
-        self.factor = sla.lu_factor(schur)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", sla.LinAlgWarning)
+            try:
+                self.factor = sla.lu_factor(schur)
+            except sla.LinAlgWarning as exc:
+                raise NumericError(f"singular Schur complement: {exc}") from exc
         self.A_KE_H = self.A_KE.conj().T.tocsr()
         self.A_EK_H = self.A_EK.conj().T.tocsr()
 
     def solve(self, b):
-        b_K = b[: len(self.keep)]
-        b_E = b[len(self.keep) :]
-        y = b_K - self.A_KE @ (self.d_inv * b_E)
+        b_K = b[self.keep]
+        b_E = b[self.elim]
+        y = b_K - self.A_KE @ _rows(self.d_inv, b_E)
         x_K = sla.lu_solve(self.factor, y)
-        x_E = self.d_inv * (b_E - self.A_EK @ x_K)
-        return np.concatenate([x_K, x_E])
+        x = np.empty_like(b)
+        x[self.keep] = x_K
+        x[self.elim] = _rows(self.d_inv, b_E - self.A_EK @ x_K)
+        return x
 
     def adjoint_solve(self, b):
-        b_K = b[: len(self.keep)]
-        b_E = b[len(self.keep) :]
-        y = b_K - self.A_EK_H @ (np.conj(self.d_inv) * b_E)
+        b_K = b[self.keep]
+        b_E = b[self.elim]
+        d_inv_H = np.conj(self.d_inv)
+        y = b_K - self.A_EK_H @ _rows(d_inv_H, b_E)
         x_K = sla.lu_solve(self.factor, y, trans=2)
-        x_E = np.conj(self.d_inv) * (b_E - self.A_KE_H @ x_K)
-        return np.concatenate([x_K, x_E])
-
-
-class _TridiagSolve:
-    """Block Thomas factorization over ascending boson sectors."""
-
-    def __init__(self, A: sp.csr_matrix, sector_slices):
-        self.slices = sector_slices
-        diag_factors = []
-        lowers = []
-        uppers = []
-        for n, slc in enumerate(sector_slices):
-            D = A[slc, :][:, slc].toarray()
-            if n == 0:
-                S = D
-                lowers.append(None)
-                uppers.append(None)
-            else:
-                prev = sector_slices[n - 1]
-                L = A[slc, :][:, prev].tocsr()
-                U = A[prev, :][:, slc].tocsr()
-                lowers.append(L)
-                uppers.append(U)
-                # S_n = D_n - L (S_{n-1})^{-1} U, computed column-block wise
-                X = sla.lu_solve(diag_factors[-1], U.toarray())
-                S = D - (L @ X)
-            diag_factors.append(sla.lu_factor(S))
-        self.diag_factors = diag_factors
-        self.lowers = lowers
-        self.uppers = uppers
-
-    def solve(self, b):
-        parts = [b[slc] for slc in self.slices]
-        ys = []
-        for n, bn in enumerate(parts):
-            if n == 0:
-                ys.append(bn)
-            else:
-                ys.append(bn - self.lowers[n] @ sla.lu_solve(self.diag_factors[n - 1], ys[n - 1]))
-        xs = [None] * len(parts)
-        xs[-1] = sla.lu_solve(self.diag_factors[-1], ys[-1])
-        for n in range(len(parts) - 2, -1, -1):
-            xs[n] = sla.lu_solve(self.diag_factors[n], ys[n] - self.uppers[n + 1] @ xs[n + 1])
-        out = np.empty_like(b)
-        for slc, xn in zip(self.slices, xs):
-            out[slc] = xn
-        return out
-
-    def adjoint_solve(self, b):
-        # A^H has the same Schur blocks S_n^H; reuse each LU with trans=2
-        parts = [b[slc] for slc in self.slices]
-        ys = []
-        for n, bn in enumerate(parts):
-            if n == 0:
-                ys.append(bn)
-            else:
-                ys.append(
-                    bn
-                    - self.uppers[n].conj().T
-                    @ sla.lu_solve(self.diag_factors[n - 1], ys[n - 1], trans=2)
-                )
-        xs = [None] * len(parts)
-        xs[-1] = sla.lu_solve(self.diag_factors[-1], ys[-1], trans=2)
-        for n in range(len(parts) - 2, -1, -1):
-            xs[n] = sla.lu_solve(
-                self.diag_factors[n], ys[n] - self.lowers[n + 1].conj().T @ xs[n + 1], trans=2
-            )
-        out = np.empty_like(b)
-        for slc, xn in zip(self.slices, xs):
-            out[slc] = xn
-        return out
+        x = np.empty_like(b)
+        x[self.keep] = x_K
+        x[self.elim] = _rows(d_inv_H, b_E - self.A_KE_H @ x_K)
+        return x
 
 
 class _GmresSolve:
-    """Diagonally preconditioned GMRES; last-resort path."""
+    """Diagonally preconditioned GMRES, one column at a time."""
 
     def __init__(self, A: sp.csr_matrix):
         self.A = A
@@ -180,6 +126,8 @@ class _GmresSolve:
 
     @staticmethod
     def _run(A, M, b):
+        if b.ndim == 2:
+            return np.column_stack([_GmresSolve._run(A, M, col) for col in b.T])
         if not np.any(b):
             return np.zeros_like(b, dtype=complex)
         x, info = spla.gmres(A, b, M=M, rtol=GMRES_RTOL, atol=0.0, maxiter=GMRES_MAXITER)
@@ -195,48 +143,19 @@ class _GmresSolve:
 
 
 def _component_solver(A: sp.csr_matrix, totals: np.ndarray):
-    """Pick a solver for one connected component (A already restricted)."""
+    """The Schur or GMRES solver of one component above ``DENSE_SOLVE_CAP``
+    (A already restricted), or ``None`` to leave it to the sparse LU."""
     n = A.shape[0]
-    if n <= DENSE_SOLVE_CAP:
-        return _DenseSolve(A.toarray())
-    top = totals.max()
-    in_top = totals == top
+    in_top = totals == totals.max()
     offdiag = A - sp.diags(A.diagonal())
     offdiag.eliminate_zeros()
     top_idx = np.nonzero(in_top)[0]
     sub = offdiag[top_idx][:, top_idx]
-    if sub.nnz == 0 and (n - len(top_idx)) <= SCHUR_KEPT_CAP and len(top_idx) > 0:
-        keep = np.nonzero(~in_top)[0]
-        return _PermutedSolver(_SchurSolve(A, keep, top_idx), np.concatenate([keep, top_idx]), n)
-    # sector-banded shape?
-    coo = offdiag.tocoo()
-    if len(coo.row) and np.max(np.abs(totals[coo.row] - totals[coo.col])) <= 1:
-        order = np.argsort(totals, kind="stable")
-        A_ord = A[order][:, order]
-        t_ord = totals[order]
-        bounds = np.searchsorted(t_ord, np.arange(t_ord[0], t_ord[-1] + 2))
-        slices = [
-            slice(bounds[i], bounds[i + 1])
-            for i in range(len(bounds) - 1)
-            if bounds[i + 1] > bounds[i]
-        ]
-        if all((s.stop - s.start) <= TRIDIAG_BLOCK_CAP for s in slices):
-            return _PermutedSolver(_TridiagSolve(A_ord, slices), order, n)
-    return _GmresSolve(A)
-
-
-class _PermutedSolver:
-    def __init__(self, inner, order, n):
-        self.inner = inner
-        self.order = order
-        self.inverse = np.empty(n, dtype=np.int64)
-        self.inverse[order] = np.arange(n)
-
-    def solve(self, b):
-        return self.inner.solve(b[self.order])[self.inverse]
-
-    def adjoint_solve(self, b):
-        return self.inner.adjoint_solve(b[self.order])[self.inverse]
+    if sub.nnz == 0 and (n - len(top_idx)) <= SCHUR_KEPT_CAP:
+        return _SchurSolve(A, np.nonzero(~in_top)[0], top_idx)
+    if A.nnz > GMRES_MIN_ROW_NNZ * n:
+        return _GmresSolve(A)
+    return None
 
 
 def split_components(M: sp.csr_matrix):
@@ -257,29 +176,36 @@ def split_components(M: sp.csr_matrix):
 
 
 class StructuredResolvent:
-    """Action of (H - z)^{-1} (and its adjoint) for a sparse H on a
-    truncated basis, decomposed over connected components."""
+    """Action of (H - z)^{-1} (and its adjoint) on a vector or an (n, k)
+    block, for a sparse H on a truncated basis.  ``parts`` lists
+    (indices, solver) pairs that partition the basis."""
 
     def __init__(self, H: sp.spmatrix, z: complex, totals_per_index: np.ndarray):
         A = (H.tocsr() - z * sp.identity(H.shape[0], format="csr", dtype=complex)).tocsr()
         A.eliminate_zeros()
         self.shape = A.shape
-        components, singletons = split_components(A)
-        self.parts = [
-            (idx, _component_solver(A[idx][:, idx].tocsr(), totals_per_index[idx]))
-            for idx in components
-        ]
-        if len(singletons):
-            self.parts.append((singletons, _DiagSolve(A.diagonal()[singletons])))
+        components, _ = split_components(A)
+        self.parts = []
+        rest = np.ones(A.shape[0], dtype=bool)
+        for idx in components:
+            if len(idx) > DENSE_SOLVE_CAP:
+                solver = _component_solver(A[idx][:, idx].tocsr(), totals_per_index[idx])
+                if solver is not None:
+                    self.parts.append((idx, solver))
+                    rest[idx] = False
+        rest = np.nonzero(rest)[0]
+        if len(rest):
+            self.parts.append((rest, _SparseLUSolve(A[rest][:, rest])))
+
+    def _apply(self, method: str, b) -> np.ndarray:
+        b = np.asarray(b, dtype=complex)
+        out = np.empty_like(b)
+        for idx, solver in self.parts:
+            out[idx] = getattr(solver, method)(b[idx])
+        return out
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.shape[0], dtype=complex)
-        for idx, solver in self.parts:
-            out[idx] = solver.solve(np.asarray(b, dtype=complex)[idx])
-        return out
+        return self._apply("solve", b)
 
     def adjoint_solve(self, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.shape[0], dtype=complex)
-        for idx, solver in self.parts:
-            out[idx] = solver.adjoint_solve(np.asarray(b, dtype=complex)[idx])
-        return out
+        return self._apply("adjoint_solve", b)

@@ -215,9 +215,6 @@ class CouplingDecomposition:
     def total(self) -> FormFactor:
         return FormFactor(self.grid, self.v_le.values + self.v_d.values + self.v_n.values)
 
-    def high_part(self) -> FormFactor:
-        return FormFactor(self.grid, self.v_d.values + self.v_n.values)
-
 
 def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0

@@ -236,3 +236,26 @@ def test_tolerance_scale_flag_tightens_verify(tmp_path):
 def test_shipped_default_config_verifies(tmp_path):
     code = run_command("verify", CONFIGS / "ex2_default.json", tmp_path / "out")
     assert code == 0
+
+
+def _vanhove_small_config():
+    return {
+        "grid": {"family": "power_law", "beta": -0.5, "kappa": 1.0, "lambda_max": 8.0, "n_modes": 4},
+        "spin": {"dim": 2, "S": "sigma_z", "B_le": "sigma_x", "B_D": "sigma_x"},
+        "fock": {"n_max": 4},
+        "ibc": {"lambda": 1.0, "s_n": 1.5},
+        "run": {"schedule": [1.2, 2.0], "seed": 0, "vanhove_n_max": 6, "vanhove_restrict_m": 2},
+    }
+
+
+@pytest.mark.parametrize("command", ["converge", "vanhove"])
+def test_singular_sparse_lu_exits_numeric(tmp_path, monkeypatch, command):
+    import scipy.sparse.linalg as spla
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    cfg = minimal_ex2() if command == "converge" else _vanhove_small_config()
+    p = write_config(tmp_path, cfg)
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 3

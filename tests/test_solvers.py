@@ -5,6 +5,7 @@ import scipy.sparse as sp
 import sbfock._solvers as solvers
 from sbfock import CouplingDecomposition, ModeGrid, SIGMA_MINUS, SIGMA_Z, separable, zero_form_factor
 from sbfock._solvers import StructuredResolvent
+from sbfock.errors import NumericError
 from sbfock.fock import SpinSpace, build_basis
 from sbfock.renorm import HamiltonianSpec, h_reg, h_renormalized
 
@@ -59,7 +60,6 @@ def test_structured_paths_forced(ex2_operators, which, monkeypatch):
     rng = np.random.default_rng(1)
     monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 64)
     monkeypatch.setattr(solvers, "SCHUR_KEPT_CAP", 400)
-    monkeypatch.setattr(solvers, "TRIDIAG_BLOCK_CAP", 2000)
     solver = StructuredResolvent(H.tocsr(), 1j, totals)
     kinds = {type(s).__name__ for _, s in solver.parts}
     assert len(kinds) > 1  # several strategies exercised
@@ -68,20 +68,23 @@ def test_structured_paths_forced(ex2_operators, which, monkeypatch):
     assert fwd <= 1e-9 and adj <= 1e-9
 
 
-def test_tridiag_path_on_scalar_field_hamiltonian(monkeypatch):
+def scalar_field_operator():
     from sbfock.model import FormFactor
 
     om = np.array([0.7, 1.9])
     g = ModeGrid(labels=om, omegas=om, mus=np.array([0.8, 1.1]), kappa=1.0)
     basis = build_basis(g, SpinSpace(1), 8)
     H = h_reg(basis, np.zeros((1, 1)), FormFactor(g, np.array([0.8, 0.5])))
-    totals = basis.totals.astype(np.int64)
+    return basis, H, basis.totals.astype(np.int64)
+
+
+def test_sparse_lu_path_on_scalar_field_hamiltonian(monkeypatch):
+    basis, H, totals = scalar_field_operator()
     monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 8)
     monkeypatch.setattr(solvers, "SCHUR_KEPT_CAP", 10)
-    monkeypatch.setattr(solvers, "TRIDIAG_BLOCK_CAP", 50)
     solver = StructuredResolvent(H.tocsr(), 1j, totals)
-    kinds = {type(s).__name__ for _, s in solver.parts}
-    assert "_PermutedSolver" in kinds
+    [(idx, part)] = solver.parts
+    assert isinstance(part, solvers._SparseLUSolve) and len(idx) == basis.dim
     rng = np.random.default_rng(2)
     A = H.dense() - 1j * np.eye(basis.dim)
     fwd, adj = residuals(solver, A, rng)
@@ -93,3 +96,94 @@ def test_gmres_zero_rhs_guard():
     g = solvers._GmresSolve(A)
     out = g.solve(np.zeros(2, dtype=complex))
     assert not np.any(out)
+
+
+def test_singular_sparse_lu_raises_numeric_error():
+    H = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(NumericError, match="singular"):
+        StructuredResolvent(H, 1.0, np.array([0, 1]))
+
+
+def test_singular_schur_complement_raises_numeric_error(monkeypatch):
+    # eliminating state 2 leaves the Schur complement [[1, 1], [1, 1]]
+    H = sp.csr_matrix(np.array([[2.0, 2.0, 1.0], [2.0, 2.0, 1.0], [1.0, 1.0, 1.0]]))
+    monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 2)
+    with pytest.raises(NumericError, match="Schur"):
+        StructuredResolvent(H, 0.0, np.array([0, 0, 1]))
+
+
+def test_zero_eliminated_diagonal_raises_numeric_error():
+    A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]) + 0j)
+    with pytest.raises(NumericError, match="diagonal"):
+        solvers._SchurSolve(A, np.array([0]), np.array([1]))
+
+
+def assert_block_matches_columns(solver, n, seed):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
+    for method in (solver.solve, solver.adjoint_solve):
+        X = method(B)
+        cols = np.column_stack([method(np.ascontiguousarray(c)) for c in B.T])
+        assert X.shape == B.shape
+        assert np.linalg.norm(X - cols) <= 1e-13 * np.linalg.norm(cols)
+
+
+def test_block_solves_match_columns_sparse_lu(ex2_operators):
+    basis, H_ren, _, totals = ex2_operators
+    solver = StructuredResolvent(H_ren.tocsr(), 1j, totals)
+    [(_, part)] = solver.parts
+    assert isinstance(part, solvers._SparseLUSolve)
+    assert_block_matches_columns(part, basis.dim, 3)
+    assert_block_matches_columns(solver, basis.dim, 4)
+
+
+def test_block_solves_match_columns_schur(ex2_operators, monkeypatch):
+    basis, H_ren, _, totals = ex2_operators
+    monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 64)
+    monkeypatch.setattr(solvers, "SCHUR_KEPT_CAP", 400)
+    solver = StructuredResolvent(H_ren.tocsr(), 1j, totals)
+    schur = [(idx, part) for idx, part in solver.parts if isinstance(part, solvers._SchurSolve)]
+    assert schur
+    for idx, part in schur:
+        assert_block_matches_columns(part, len(idx), 5)
+    assert_block_matches_columns(solver, basis.dim, 6)
+
+
+def dense_coupled_operator(n=80, seed=7):
+    # random real symmetric coupling, about 40 nonzeros per row
+    rng = np.random.default_rng(seed)
+    M = sp.random(n, n, density=0.25, random_state=rng, format="csr")
+    M = (M + M.T) * 0.02
+    return (M + sp.diags(np.linspace(1.0, 4.0, n))).tocsr()
+
+
+def test_dense_rows_above_cap_take_gmres(monkeypatch):
+    H = dense_coupled_operator()
+    n = H.shape[0]
+    assert H.nnz > solvers.GMRES_MIN_ROW_NNZ * n
+    monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 16)
+    # one sector: the top sector is coupled internally, so Schur is ruled out
+    solver = StructuredResolvent(H, 1j, np.zeros(n, dtype=np.int64))
+    [(idx, part)] = solver.parts
+    assert isinstance(part, solvers._GmresSolve) and len(idx) == n
+    assert_block_matches_columns(part, n, 8)
+    assert_block_matches_columns(solver, n, 9)
+    A = H.toarray() - 1j * np.eye(n)
+    fwd, adj = residuals(solver, A, np.random.default_rng(10))
+    assert fwd <= 1e-10 and adj <= 1e-10
+
+
+def test_scalar_field_component_above_cap_takes_sparse_lu():
+    # the van Hove operator: one scalar field component above the dense cap
+    from sbfock.model import FormFactor, power_law_grid
+
+    grid, profile = power_law_grid(-0.5, 1.0, 8.0, 4)
+    basis = build_basis(grid, SpinSpace(1), 20)
+    H = h_reg(basis, np.zeros((1, 1)), FormFactor(grid, np.asarray(profile, dtype=complex)))
+    components, _ = solvers.split_components(H.tocsr())
+    big = [idx for idx in components if len(idx) > solvers.DENSE_SOLVE_CAP]
+    assert len(big) == 1
+    assert H.tocsr()[big[0]][:, big[0]].nnz <= solvers.GMRES_MIN_ROW_NNZ * len(big[0])
+    solver = StructuredResolvent(H.tocsr(), 1j, basis.totals.astype(np.int64))
+    [(idx, part)] = solver.parts
+    assert isinstance(part, solvers._SparseLUSolve) and len(idx) == basis.dim
