@@ -172,92 +172,39 @@ def resolvent(H: Operator, z: complex, verify: bool = False) -> Operator:
     return Operator(H.basis, R)
 
 
-def _as_actions(A):
-    """Normalize an operator-ish object to (matvec, rmatvec, dim)."""
-    if isinstance(A, Operator):
-        A = A.matrix
-    if isinstance(A, StructuredResolvent):
-        return A.solve, A.adjoint_solve, A.shape[0]
-    if isinstance(A, spla.LinearOperator):
-        return (lambda x: A.matvec(x)), (lambda x: A.rmatvec(x)), A.shape[0]
-    if sp.issparse(A):
-        AH = A.conj().T.tocsr()
-        return (lambda x: A @ x), (lambda x: AH @ x), A.shape[0]
-    A = np.asarray(A)
-    return (lambda x: A @ x), (lambda x: A.conj().T @ x), A.shape[0]
+def _top_singular(D: spla.LinearOperator, v0, probe, rel_tol: float, max_iter: int):
+    """Largest singular value of D and its right singular vector, as the
+    square root of the largest eigenvalue theta of the Hermitian D^* D.
 
+    Lanczos (ARPACK through ``eigsh``, started from ``v0``; Golub & Kahan
+    1965, Lehoucq, Sorensen & Yang 1998) resolves clustered top singular
+    values.  ``rel_tol`` is ARPACK's relative accuracy of theta = sigma^2
+    and ``max_iter`` its cap on implicit restarts.  Below dimension 3,
+    where ARPACK cannot run, D^* D is formed densely and its top
+    eigenpair is accepted by ARPACK's own rule,
+    ||D^* D v - theta v|| <= rel_tol * max(theta, eps^(2/3)).
 
-def opnorm(A, rel_tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0) -> float:
-    """Largest singular value by power iteration on A^* A.
-
-    Deterministic for a fixed seed; raises ``NumericError`` carrying the
-    best estimate if the relative-change criterion is not met within
-    ``max_iter`` iterations.
+    When ARPACK fails and D maps the random vector ``probe`` to zero,
+    D = 0 and the result is (0.0, probe); ``v0`` does not decide this,
+    since a previous Ritz vector can lie in the null space of a nonzero
+    D.  Other failures raise ``NumericError``; on no convergence it
+    carries the best estimate of sigma (or ``None``).
     """
-    matvec, rmatvec, n = _as_actions(A)
-    if n == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x = x / np.linalg.norm(x)
-    sigma_prev = -1.0
-    delta_prev = np.inf
-    for _ in range(max_iter):
-        y = matvec(x)
-        sigma = float(np.linalg.norm(y))
-        if sigma == 0.0:
-            return 0.0
-        delta = abs(sigma - sigma_prev)
-        tol_here = rel_tol * sigma
-        if sigma_prev >= 0:
-            # geometric remainder estimate: with contraction q the residual
-            # gap to the limit is about delta * q / (1 - q)
-            q = delta / delta_prev if delta_prev > 0 else 0.0
-            if q < 1.0 and (delta * q / (1.0 - q) if q > 0 else delta) <= tol_here:
-                return sigma
-            # raw-change fallback for jittering iterates near the limit
-            if delta <= 0.01 * tol_here:
-                return sigma
-        sigma_prev = sigma
-        delta_prev = delta if delta > 0 else delta_prev
-        x_new = rmatvec(y)
-        nx = np.linalg.norm(x_new)
-        if nx == 0.0:
-            return sigma
-        x = x_new / nx
-    raise NumericError(
-        f"power iteration did not converge to rel tol {rel_tol} in {max_iter} iterations",
-        best_estimate=sigma_prev,
-    )
-
-
-def _resolvent_distance(R_a, R_b, v0, probe, rel_tol: float, max_iter: int):
-    """|| R_a - R_b || for two ``StructuredResolvent``s, as the square root
-    of the largest eigenvalue of the Hermitian D^* D, D = R_a - R_b.
-
-    Lanczos (ARPACK through ``eigsh``, started from ``v0``) resolves
-    clustered top singular values that stall power iteration.  ``rel_tol``
-    is ARPACK's relative accuracy of that eigenvalue and ``max_iter`` its
-    cap on implicit restarts.  Returns the norm and the top right singular
-    vector.  When ARPACK fails and D maps the random vector ``probe`` to
-    zero, D = 0 and the result is (0.0, probe); ``v0`` does not decide
-    this, since a previous Ritz vector can lie in the null space of a
-    nonzero D.  Other ARPACK failures raise ``NumericError``; on no
-    convergence it carries the best partial estimate (or ``None``).
-    """
-    n = R_a.shape[0]
-
-    def apply_d(x):
-        return R_a.solve(x) - R_b.solve(x)
-
-    def apply_dhd(x):
-        d = apply_d(x)
-        return R_a.adjoint_solve(d) - R_b.adjoint_solve(d)
-
+    n = D.shape[1]
+    dhd = spla.LinearOperator((n, n), matvec=lambda x: D.rmatvec(D.matvec(x)), dtype=complex)
     if n < 3:  # ARPACK needs k < n - 1
-        D = np.column_stack([apply_d(e) for e in np.eye(n, dtype=complex)])
-        return float(np.linalg.norm(D, 2)), v0
-    dhd = spla.LinearOperator((n, n), matvec=apply_dhd, dtype=complex)
+        M = dhd.matmat(np.eye(n, dtype=complex))
+        thetas, vecs = np.linalg.eigh(M)
+        theta, v = float(thetas[-1]), vecs[:, -1]
+        sigma = float(np.sqrt(max(theta, 0.0)))
+        resid = float(np.linalg.norm(M @ v - theta * v))
+        if resid > rel_tol * max(theta, np.finfo(float).eps ** (2 / 3)):
+            raise NumericError(
+                f"dense norm estimate did not converge to rel tol {rel_tol} "
+                f"(Ritz residual {resid:.3e})",
+                best_estimate=sigma,
+            )
+        return sigma, v
     try:
         vals, vecs = spla.eigsh(dhd, k=1, which="LA", v0=v0, tol=rel_tol, maxiter=max_iter)
     except spla.ArpackNoConvergence as exc:
@@ -269,10 +216,27 @@ def _resolvent_distance(R_a, R_b, v0, probe, rel_tol: float, max_iter: int):
             best_estimate=best,
         ) from exc
     except spla.ArpackError as exc:
-        if not np.any(apply_d(probe)):  # D = 0 leaves Lanczos no Krylov space
+        if not np.any(D.matvec(probe)):  # D = 0 leaves Lanczos no Krylov space
             return 0.0, probe
         raise NumericError(f"Lanczos norm estimate failed: {exc}") from exc
     return float(np.sqrt(max(float(vals[0]), 0.0))), vecs[:, 0]
+
+
+def opnorm(A, rel_tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0) -> float:
+    """Largest singular value of an ``Operator``, a dense or sparse matrix
+    or a ``LinearOperator``, by Lanczos on A^* A (see ``_top_singular``).
+
+    ``rel_tol`` is ARPACK's relative accuracy of the largest eigenvalue
+    sigma^2 of A^* A, so sigma is accurate to about ``rel_tol / 2``
+    relative; ``max_iter`` caps ARPACK's implicit restarts.  The start
+    vector is drawn from ``seed``, so the result is deterministic.  A zero
+    A gives 0.0; no convergence raises ``NumericError`` carrying the best
+    estimate.
+    """
+    D = spla.aslinearoperator(A.matrix if isinstance(A, Operator) else A)
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(D.shape[1]) + 1j * rng.standard_normal(D.shape[1])
+    return _top_singular(D, v0, v0, rel_tol, max_iter)[0]
 
 
 def _hermiticity_defect(mat) -> float:
@@ -314,7 +278,10 @@ def ground_energy(H: Operator, seed: int = 0) -> float:
         else:
             v0 = rng.standard_normal(len(idx))
             sub = sym[idx][:, idx].tocsr()
-            low = spla.eigsh(sub, k=1, which="SA", v0=v0, return_eigenvectors=False, tol=1e-9)[0]
+            try:
+                low = spla.eigsh(sub, k=1, which="SA", v0=v0, return_eigenvectors=False, tol=1e-9)[0]
+            except spla.ArpackError as exc:
+                raise NumericError(f"Lanczos ground energy failed: {exc}") from exc
         best = min(best, float(low))
     return best
 
@@ -451,8 +418,14 @@ def convergence_study(
     for Lam in schedule:
         H_L, E_L = h_cutoff(basis, spec, Lam)
         R_L = StructuredResolvent(H_L.tocsr(), z, totals)
+        D = spla.LinearOperator(
+            (basis.dim, basis.dim),
+            matvec=lambda x: R_L.solve(x) - R_lim.solve(x),
+            rmatvec=lambda x: R_L.adjoint_solve(x) - R_lim.adjoint_solve(x),
+            dtype=complex,
+        )
         # the top singular vector moves little between cutoffs
-        dist, v0 = _resolvent_distance(R_L, R_lim, v0, probe, opnorm_tol, opnorm_max_iter)
+        dist, v0 = _top_singular(D, v0, probe, opnorm_tol, opnorm_max_iter)
         g_reg = ground_energy(H_L, seed=seed)
         report.rows.append(
             ConvergenceRow(

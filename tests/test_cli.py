@@ -259,3 +259,19 @@ def test_singular_sparse_lu_exits_numeric(tmp_path, monkeypatch, command):
     cfg = minimal_ex2() if command == "converge" else _vanhove_small_config()
     p = write_config(tmp_path, cfg)
     assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_arpack_failure_exits_numeric(tmp_path, monkeypatch, command):
+    import scipy.sparse.linalg as spla
+
+    from sbfock import _solvers
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("No convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    if command == "spectrum":  # ground energies take eigsh above the dense cap
+        monkeypatch.setattr(_solvers, "DENSE_SOLVE_CAP", 8)
+    p = CONFIGS / "ex2_default.json"
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 3

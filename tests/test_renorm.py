@@ -261,6 +261,52 @@ def test_opnorm_nonconvergence_reports_best_estimate():
     assert err.value.best_estimate is not None
 
 
+def _verify_bound_operator(config, which):
+    """G = a(v_N)(dGamma + lambda)^{-1} or T_V (dGamma + lambda)^{-1}, as
+    the `verify` bound suite builds them from a shipped config."""
+    from pathlib import Path
+
+    from sbfock.cli import parse_config
+    from sbfock.ibc import g_op, t_op
+
+    spec, _, _ = parse_config(Path(__file__).resolve().parents[1] / "configs" / config)
+    basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
+    if which == "G":
+        return g_op(basis, spec.coupling.v_n, spec.lam).tocsr()
+    res = 1.0 / (np.repeat(basis.energies, basis.spin.dim) + spec.lam)
+    return t_op(basis, spec.coupling.total(), spec.lam).tocsr().multiply(res[None, :]).tocsr()
+
+
+def _gapped_matrix(gap, n=60, seed=0):
+    """Random n x n matrix with singular values 1, 1 - gap, 0.9, ..., 0.01."""
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    svals = np.concatenate([[1.0, 1.0 - gap], np.linspace(0.9, 0.01, n - 2)])
+    return (q1 * svals) @ q2.conj().T
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: _verify_bound_operator("ex2_default.json", "G"), id="ex2_G"),
+        pytest.param(lambda: _verify_bound_operator("ex2_default.json", "T"), id="ex2_T"),
+        pytest.param(
+            lambda: _verify_bound_operator("converge_supercritical.json", "T"), id="supercritical_T"
+        ),
+        pytest.param(lambda: _gapped_matrix(1e-3), id="gap_1e-3"),
+        pytest.param(lambda: _gapped_matrix(1e-5), id="gap_1e-5"),
+        pytest.param(lambda: _gapped_matrix(1e-7), id="gap_1e-7"),
+        # ex1 has no 2-nilpotent part, so G is exactly zero
+        pytest.param(lambda: _verify_bound_operator("ex1_dressing.json", "G"), id="ex1_G_zero"),
+    ],
+)
+def test_opnorm_matches_dense_svd_to_1e9(make):
+    A = make()
+    exact = np.linalg.norm(A.toarray() if sp.issparse(A) else A, 2)
+    assert opnorm(A) == pytest.approx(exact, rel=1e-9, abs=0)
+
+
 # ------------------------------------------------------------ ground_energy
 
 
