@@ -11,7 +11,9 @@ resolvent and ``renorm.ground_energy``.  A component above
 * Schur: when its top boson sector is internally diagonal (field terms
   change the sector), that sector is eliminated exactly and a dense
   Schur complement on the kept block (at most ``SCHUR_KEPT_CAP`` states)
-  is factored;
+  is factored.  ``schur_split`` makes this test and ``schur_complement``
+  forms the complement, for the resolvent (on H - z) and for the inertia
+  certificate of ``renorm.ground_energy`` (on H - mu);
 * GMRES: otherwise, with more than ``GMRES_MIN_ROW_NNZ`` nonzeros per
   row, a diagonally preconditioned GMRES is used; it converges quickly
   in exactly these regimes (weak intra-sector coupling), where a direct
@@ -70,19 +72,11 @@ class _SchurSolve:
     def __init__(self, A: sp.csr_matrix, keep: np.ndarray, elim: np.ndarray):
         self.keep = keep
         self.elim = elim
-        self.A_KK = A[keep][:, keep]
-        self.A_KE = A[keep][:, elim].tocsr()
-        self.A_EK = A[elim][:, keep].tocsr()
-        d_EE = A[elim][:, elim].diagonal()
-        if not np.all(d_EE):
-            raise NumericError("zero diagonal entry in the Schur-eliminated sector")
-        self.d_inv = 1.0 / d_EE
-        correction = (self.A_KE.multiply(self.d_inv[None, :])).tocsr() @ self.A_EK
-        schur = self.A_KK.toarray() - correction.toarray()
+        self.A_KE, self.A_EK, self.d_inv, schur = schur_complement(A, keep, elim)
         with warnings.catch_warnings():
             warnings.simplefilter("error", sla.LinAlgWarning)
             try:
-                self.factor = sla.lu_factor(schur)
+                self.factor = sla.lu_factor(schur, overwrite_a=True)
             except sla.LinAlgWarning as exc:
                 raise NumericError(f"singular Schur complement: {exc}") from exc
         self.A_KE_H = self.A_KE.conj().T.tocsr()
@@ -142,18 +136,44 @@ class _GmresSolve:
         return self._run(self.AH, self.MH, b)
 
 
-def _component_solver(A: sp.csr_matrix, totals: np.ndarray):
-    """The Schur or GMRES solver of one component above ``DENSE_SOLVE_CAP``
-    (A already restricted), or ``None`` to leave it to the sparse LU."""
-    n = A.shape[0]
+def schur_split(A: sp.csr_matrix, totals: np.ndarray):
+    """The Schur test of one component above ``DENSE_SOLVE_CAP`` (A already
+    restricted): ``(keep, elim)`` when its top boson sector ``elim`` is
+    internally diagonal and at most ``SCHUR_KEPT_CAP`` states are kept,
+    else ``None``."""
     in_top = totals == totals.max()
     offdiag = A - sp.diags(A.diagonal())
     offdiag.eliminate_zeros()
-    top_idx = np.nonzero(in_top)[0]
-    sub = offdiag[top_idx][:, top_idx]
-    if sub.nnz == 0 and (n - len(top_idx)) <= SCHUR_KEPT_CAP:
-        return _SchurSolve(A, np.nonzero(~in_top)[0], top_idx)
-    if A.nnz > GMRES_MIN_ROW_NNZ * n:
+    elim = np.nonzero(in_top)[0]
+    if offdiag[elim][:, elim].nnz or A.shape[0] - len(elim) > SCHUR_KEPT_CAP:
+        return None
+    return np.nonzero(~in_top)[0], elim
+
+
+def schur_complement(A: sp.csr_matrix, keep: np.ndarray, elim: np.ndarray):
+    """``(A_KE, A_EK, d_inv, S)`` for an ``elim`` block of A that is
+    diagonal, D_EE = 1 / d_inv: the dense Schur complement
+    S = A_KK - A_KE D_EE^{-1} A_EK is formed once, Fortran-ordered so that
+    LAPACK can factor it in place.  A zero entry of D_EE raises
+    ``NumericError``."""
+    A_KE = A[keep][:, elim].tocsr()
+    A_EK = A[elim][:, keep].tocsr()
+    d_EE = A[elim][:, elim].diagonal()
+    if not np.all(d_EE):
+        raise NumericError("zero diagonal entry in the Schur-eliminated sector")
+    d_inv = 1.0 / d_EE
+    correction = (A_KE.multiply(d_inv[None, :])).tocsr() @ A_EK
+    schur = (A[keep][:, keep] - correction).toarray(order="F")
+    return A_KE, A_EK, d_inv, schur
+
+
+def _component_solver(A: sp.csr_matrix, totals: np.ndarray):
+    """The Schur or GMRES solver of one component above ``DENSE_SOLVE_CAP``
+    (A already restricted), or ``None`` to leave it to the sparse LU."""
+    split = schur_split(A, totals)
+    if split is not None:
+        return _SchurSolve(A, *split)
+    if A.nnz > GMRES_MIN_ROW_NNZ * A.shape[0]:
         return _GmresSolve(A)
     return None
 

@@ -246,16 +246,48 @@ def _hermiticity_defect(mat) -> float:
     return float(np.max(np.abs(mat - mat.conj().T)))
 
 
+def _certified_above(sub: sp.csr_matrix, mu: float, totals: np.ndarray) -> bool:
+    """True when inertia proves lambda_min(sub) > mu (see ``ground_energy``):
+    LAPACK ``potrf`` factors sub - mu, or its Schur complement, with the
+    diagonal lowered by tau = (n+1)^2 eps ||.||_inf, a margin above the
+    Cholesky backward error (Higham 2002, section 10.1).  ``False`` proves
+    nothing."""
+    A = (sub - mu * sp.identity(sub.shape[0], format="csr")).tocsr()
+    if sub.shape[0] <= _solvers.DENSE_SOLVE_CAP:
+        a = A.toarray(order="F")
+    else:
+        split = _solvers.schur_split(A, totals)
+        if split is None:
+            return False
+        a = _solvers.schur_complement(A, *split)[3]
+    lange, potrf = sla.get_lapack_funcs(("lange", "potrf"), (a,))
+    n = a.shape[0]
+    a.flat[:: n + 1] -= (n + 1) ** 2 * np.finfo(float).eps * lange("I", a)
+    return potrf(a, lower=True, overwrite_a=True, clean=False)[1] == 0
+
+
 def ground_energy(H: Operator, seed: int = 0) -> float:
     """Smallest eigenvalue, as a Python float.
 
     The coupling graph is split into its connected components.  The
     search starts from the smallest singleton diagonal entry and visits
     the other components in ascending order of their Gershgorin lower
-    bound, stopping at the first bound at or above the running minimum.
-    A visited component is solved densely at or below
-    ``_solvers.DENSE_SOLVE_CAP`` and by Lanczos (``eigsh``, started from
-    a vector drawn from ``seed``) above it.
+    bound, stopping at the first bound at or above the running minimum mu.
+
+    A visited component H_c whose diagonal lies above mu is first
+    certified by inertia (Sylvester's law) to lie above mu, and skipped:
+    at or below ``_solvers.DENSE_SOLVE_CAP`` by a Cholesky factorization
+    of H_c - mu; above it, when H_c passes the Schur test, by Haynsworth's
+    additivity In(H_c - mu) = In(D_EE - mu) + In(S(mu)), where the
+    eliminated diagonal D_EE - mu is positive and the dense Schur
+    complement S(mu) passes Cholesky.  Each Cholesky runs on a diagonal
+    lowered by tau = (n+1)^2 eps ||.||_inf, a margin above its backward
+    error.  Every other visited component (a diagonal entry at or below
+    mu, a failed factorization, one not Schur-type above the cap) is
+    solved densely at or below the cap and by Lanczos (``eigsh``, started
+    from a vector drawn from ``seed``) above it.  A start vector is drawn
+    for each visited component above the cap, certified or not, so the
+    certificates leave the result unchanged.
     """
     defect = _hermiticity_defect(H.matrix)
     if defect > HERMITICITY_TOL:
@@ -267,17 +299,21 @@ def ground_energy(H: Operator, seed: int = 0) -> float:
     abs_rows = np.asarray(abs(sym).sum(axis=1)).ravel()
     gersh = diag - (abs_rows - np.abs(diag))
     bounds = [float(np.min(gersh[idx])) for idx in components]
+    totals = np.repeat(H.basis.totals, H.basis.spin.dim)
     best = float(np.min(diag[singletons])) if len(singletons) else np.inf
     rng = np.random.default_rng(seed)
     for c in np.argsort(bounds, kind="stable"):
         if bounds[c] >= best:
             break
         idx = components[c]
-        if len(idx) <= _solvers.DENSE_SOLVE_CAP:
-            low = np.linalg.eigvalsh(sym[idx][:, idx].toarray())[0]
-        else:
+        sub = sym[idx][:, idx].tocsr()
+        if len(idx) > _solvers.DENSE_SOLVE_CAP:
             v0 = rng.standard_normal(len(idx))
-            sub = sym[idx][:, idx].tocsr()
+        if np.min(diag[idx]) > best and _certified_above(sub, best, totals[idx]):
+            continue
+        if len(idx) <= _solvers.DENSE_SOLVE_CAP:
+            low = np.linalg.eigvalsh(sub.toarray())[0]
+        else:
             try:
                 low = spla.eigsh(sub, k=1, which="SA", v0=v0, return_eigenvectors=False, tol=1e-9)[0]
             except spla.ArpackError as exc:

@@ -271,7 +271,11 @@ def test_arpack_failure_exits_numeric(tmp_path, monkeypatch, command):
         raise spla.ArpackNoConvergence("No convergence", np.array([]), np.array([]))
 
     monkeypatch.setattr(spla, "eigsh", no_convergence)
-    if command == "spectrum":  # ground energies take eigsh above the dense cap
-        monkeypatch.setattr(_solvers, "DENSE_SOLVE_CAP", 8)
     p = CONFIGS / "ex2_default.json"
+    if command == "spectrum":
+        # ground energies take eigsh above the dense cap; ex1's minimum lies
+        # inside a component, which no inertia certificate can skip (every
+        # component of ex2 lies above its decoupled -1 singleton)
+        monkeypatch.setattr(_solvers, "DENSE_SOLVE_CAP", 8)
+        p = CONFIGS / "ex1_dressing.json"
     assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 3

@@ -359,6 +359,100 @@ def test_ground_energy_permuted_blocks_match_dense():
     assert ground_energy(H) == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-12)
 
 
+def count_eigensolves(monkeypatch, fail=False):
+    """Count (or, with ``fail``, forbid) the eigensolves of ground_energy."""
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    for module, name in ((np.linalg, "eigvalsh"), (spla, "eigsh")):
+        original = getattr(module, name)
+
+        def wrapped(*args, _original=original, _name=name, **kwargs):
+            if fail:
+                raise AssertionError(f"{_name} called")
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("cap", [None, 12])
+def test_ground_energy_certifies_components_without_eigensolves(monkeypatch, cap):
+    # rotating-wave model: its components (5, 14 and 30 states) have
+    # Gershgorin bounds below the decoupled -1 singleton but lie above it,
+    # so inertia alone proves -1 the minimum; cap=12 puts the 14-state
+    # component on the Schur path
+    from sbfock import _solvers
+
+    g = grid_of([1.0, 1.5, 2.0, 2.5])
+    basis = build_basis(g, SpinSpace(2), 5)
+    H = h_reg(basis, SIGMA_Z.real, separable(g, np.full(4, 0.8), SIGMA_MINUS))
+    expected = np.linalg.eigvalsh(H.dense())[0]
+    schur_calls = []
+    if cap is not None:
+        monkeypatch.setattr(_solvers, "DENSE_SOLVE_CAP", cap)
+        complement = _solvers.schur_complement
+
+        def counted(*args):
+            schur_calls.append(args[0].shape[0])
+            return complement(*args)
+
+        monkeypatch.setattr(_solvers, "schur_complement", counted)
+    count_eigensolves(monkeypatch, fail=True)
+    assert ground_energy(H) == -1.0 == pytest.approx(expected, abs=1e-12)
+    assert (cap is None) == (not schur_calls)
+
+
+def block_and_singletons(block, singles):
+    """``block`` on the first states of a one-mode basis (boson number =
+    index, so its last state is the block's top sector), then diagonal
+    singletons."""
+    basis = build_basis(grid_of([1.0]), SpinSpace(1), len(block) + len(singles) - 1)
+    return Operator(basis, sp.block_diag([block, np.diag(singles)], format="csr"))
+
+
+def chain(diag, hop):
+    n = len(diag)
+    return np.diag(np.asarray(diag, dtype=complex)) + np.diag(np.full(n - 1, hop), 1) + np.diag(
+        np.full(n - 1, np.conj(hop)), -1
+    )
+
+
+def near_minimum_block():
+    # complex Hermitian, lambda_min = -1 + 3e-13: above the singleton at -1,
+    # but inside the (n+1)^2 eps ||H_c + 1||_inf ~ 6e-12 Cholesky margin
+    rng = np.random.default_rng(0)
+    n = 60
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    X = (Q * np.concatenate([[-1 + 3e-13], np.linspace(0.0, 2.0, n - 1)])) @ Q.conj().T
+    return (X + X.conj().T) / 2
+
+
+@pytest.mark.parametrize(
+    "block, cap",
+    [
+        pytest.param(near_minimum_block(), None, id="within_margin"),
+        # diagonal 0 above -1, lambda_min = -1.6 cos(pi/12) below it: the
+        # Schur complement fails Cholesky
+        pytest.param(chain(np.zeros(11), 0.8).real, 4, id="below"),
+        # top (eliminated) diagonal -1.2 <= -1, where the Schur complement
+        # alone would be positive definite
+        pytest.param(chain([0.0] * 10 + [-1.2], 0.3 + 0.1j), 4, id="nonpositive_eliminated"),
+    ],
+)
+def test_ground_energy_uncertified_components_are_eigensolved(monkeypatch, block, cap):
+    from sbfock import _solvers
+
+    H = block_and_singletons(block, [-1.0, 3.0, 5.0])
+    expected = np.linalg.eigvalsh(H.dense())[0]
+    if cap is not None:
+        monkeypatch.setattr(_solvers, "DENSE_SOLVE_CAP", cap)
+    calls = count_eigensolves(monkeypatch)
+    assert ground_energy(H) == pytest.approx(expected, abs=1e-12)
+    assert calls == ["eigvalsh" if cap is None else "eigsh"]
+
+
 # ------------------------------------------------------- convergence_study
 
 
