@@ -185,14 +185,14 @@ def split_components(M: sp.csr_matrix):
     each ascending and ordered by their smallest index, and one ascending
     array of the singletons (states that ``M`` couples to no other).
     """
-    pattern = abs(M)
-    n_comp, labels = connected_components(pattern + pattern.T, directed=False)
-    order = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels, minlength=n_comp))
-    groups = np.split(order, ends[:-1])
-    components = [idx for idx in groups if len(idx) > 1]
-    singletons = np.array([idx[0] for idx in groups if len(idx) == 1], dtype=np.int64)
-    return components, singletons
+    _, labels = connected_components(abs(M), directed=True, connection="weak")
+    sizes = np.bincount(labels)
+    single = sizes[labels] == 1
+    multi = np.nonzero(~single)[0]
+    # labels number the components in order of their smallest index
+    order = multi[np.argsort(labels[multi], kind="stable")]
+    components = np.split(order, np.cumsum(sizes[sizes > 1]))[:-1]
+    return components, np.nonzero(single)[0]
 
 
 class StructuredResolvent:

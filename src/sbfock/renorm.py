@@ -172,9 +172,9 @@ def resolvent(H: Operator, z: complex, verify: bool = False) -> Operator:
     return Operator(H.basis, R)
 
 
-def _top_singular(D: spla.LinearOperator, v0, probe, rel_tol: float, max_iter: int):
-    """Largest singular value of D and its right singular vector, as the
-    square root of the largest eigenvalue theta of the Hermitian D^* D.
+def _top_singular(D: spla.LinearOperator, v0, rel_tol: float, max_iter: int) -> float:
+    """Largest singular value of D, as the square root of the largest
+    eigenvalue theta of the Hermitian D^* D.
 
     Lanczos (ARPACK through ``eigsh``, started from ``v0``; Golub & Kahan
     1965, Lehoucq, Sorensen & Yang 1998) resolves clustered top singular
@@ -184,11 +184,9 @@ def _top_singular(D: spla.LinearOperator, v0, probe, rel_tol: float, max_iter: i
     eigenpair is accepted by ARPACK's own rule,
     ||D^* D v - theta v|| <= rel_tol * max(theta, eps^(2/3)).
 
-    When ARPACK fails and D maps the random vector ``probe`` to zero,
-    D = 0 and the result is (0.0, probe); ``v0`` does not decide this,
-    since a previous Ritz vector can lie in the null space of a nonzero
-    D.  Other failures raise ``NumericError``; on no convergence it
-    carries the best estimate of sigma (or ``None``).
+    When ARPACK fails and D maps the random start vector ``v0`` to zero,
+    D = 0 and the result is 0.0.  Other failures raise ``NumericError``;
+    on no convergence it carries the best estimate of sigma (or ``None``).
     """
     n = D.shape[1]
     dhd = spla.LinearOperator((n, n), matvec=lambda x: D.rmatvec(D.matvec(x)), dtype=complex)
@@ -204,9 +202,9 @@ def _top_singular(D: spla.LinearOperator, v0, probe, rel_tol: float, max_iter: i
                 f"(Ritz residual {resid:.3e})",
                 best_estimate=sigma,
             )
-        return sigma, v
+        return sigma
     try:
-        vals, vecs = spla.eigsh(dhd, k=1, which="LA", v0=v0, tol=rel_tol, maxiter=max_iter)
+        vals, _ = spla.eigsh(dhd, k=1, which="LA", v0=v0, tol=rel_tol, maxiter=max_iter)
     except spla.ArpackNoConvergence as exc:
         partial = np.asarray(exc.eigenvalues).real
         best = float(np.sqrt(max(partial.max(), 0.0))) if partial.size else None
@@ -216,10 +214,10 @@ def _top_singular(D: spla.LinearOperator, v0, probe, rel_tol: float, max_iter: i
             best_estimate=best,
         ) from exc
     except spla.ArpackError as exc:
-        if not np.any(D.matvec(probe)):  # D = 0 leaves Lanczos no Krylov space
-            return 0.0, probe
+        if not np.any(D.matvec(v0)):  # D = 0 leaves Lanczos no Krylov space
+            return 0.0
         raise NumericError(f"Lanczos norm estimate failed: {exc}") from exc
-    return float(np.sqrt(max(float(vals[0]), 0.0))), vecs[:, 0]
+    return float(np.sqrt(max(float(vals[0]), 0.0)))
 
 
 def opnorm(A, rel_tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0) -> float:
@@ -236,7 +234,7 @@ def opnorm(A, rel_tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0) -> f
     D = spla.aslinearoperator(A.matrix if isinstance(A, Operator) else A)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(D.shape[1]) + 1j * rng.standard_normal(D.shape[1])
-    return _top_singular(D, v0, v0, rel_tol, max_iter)[0]
+    return _top_singular(D, v0, rel_tol, max_iter)
 
 
 def _hermiticity_defect(mat) -> float:
@@ -404,6 +402,51 @@ class ConvergenceReport:
         return "PASS" if self.passed else "FAIL"
 
 
+def _block_bounds(H_lim, H_L, z: complex, components, defect_lim: float, defect_L: float):
+    """Upper bounds u_c >= ||D_c||_2 on the diagonal blocks of
+    D = (H_L - z)^{-1} - (H_lim - z)^{-1} = R_L (H_lim - H_L) R_lim over
+    ``components``, index arrays of blocks that both CSR operators leave
+    invariant; ``defect_*`` is max|H - H^*| of each.  Each 2-norm is
+    bounded by sqrt(||X||_1 ||X||_inf) of the entrywise |X|, and
+    u_c = min(B1, B2):
+
+    * B1 = ||dH_c|| / (g_L g_lim), dH = H_lim - H_L, with
+      g = |Im z| - n_c defect / 2 a lower bound of the smallest singular
+      value of H_c - z (n_c defect / 2 bounds the norm of the
+      skew-Hermitian part); infinite unless both g > 0;
+    * B2 = ||P_L |dH_c| P_lim|| / ((1 - x_L)(1 - x_lim)), the Neumann
+      series bound, with P = diag 1/|h_ii - z|, O the off-diagonal part,
+      x_L >= ||P_L O_L|| and x_lim >= ||O_lim P_lim||; infinite unless
+      both x < 1.
+    """
+    sizes = np.array([len(idx) for idx in components])
+    order = np.concatenate(components)
+    starts = np.cumsum(sizes) - sizes
+
+    def norm_bound(row_sums, col_sums):
+        rows = np.maximum.reduceat(row_sums[order], starts)
+        return np.sqrt(rows * np.maximum.reduceat(col_sums[order], starts))
+
+    def bounded(num, a, b):  # num / (a b), infinite unless a > 0 and b > 0
+        out = np.full(len(components), np.inf)
+        np.divide(num, a * b, out=out, where=(a > 0) & (b > 0))
+        return out
+
+    abs_dH, abs_L, abs_lim = abs(H_lim - H_L), abs(H_L), abs(H_lim)
+    ones = np.ones(H_lim.shape[0])
+    g_L, g_lim = (abs(z.imag) - sizes * defect / 2 for defect in (defect_L, defect_lim))
+    b1 = bounded(norm_bound(abs_dH @ ones, abs_dH.T @ ones), g_L, g_lim)
+
+    h_L, h_lim = H_L.diagonal(), H_lim.diagonal()
+    p_L, p_lim = 1.0 / np.abs(h_L - z), 1.0 / np.abs(h_lim - z)
+    a_L, a_lim = np.abs(h_L), np.abs(h_lim)  # taken off |H| to leave |O|
+    x_L = norm_bound(p_L * (abs_L @ ones - a_L), abs_L.T @ p_L - a_L * p_L)
+    x_lim = norm_bound(abs_lim @ p_lim - a_lim * p_lim, p_lim * (abs_lim.T @ ones - a_lim))
+    num = norm_bound(p_L * (abs_dH @ p_lim), p_lim * (abs_dH.T @ p_L))
+    b2 = bounded(num, 1 - x_L, 1 - x_lim)
+    return np.minimum(b1, b2)
+
+
 def convergence_study(
     spec: HamiltonianSpec,
     schedule,
@@ -424,12 +467,28 @@ def convergence_study(
     jitter factor and the last distance is below ``decay_threshold``
     times the first.
 
-    D_Lambda is the square root of the largest eigenvalue of D^* D,
-    D = (H_Lambda - z)^{-1} - (H_lim - z)^{-1}, computed by Lanczos (ARPACK
-    ``eigsh``).  The first cutoff starts from a vector drawn from ``seed``,
-    each later one from the previous cutoff's top singular vector.
-    ``opnorm_tol`` is the relative accuracy requested of that eigenvalue,
-    so D_Lambda is accurate to about ``opnorm_tol / 2`` relative;
+    D = (H_Lambda - z)^{-1} - (H_lim - z)^{-1} = R_Lambda (H_lim - H_Lambda) R_lim
+    is block-diagonal over the connected components of
+    |H_lim| + |H_Lambda|, so D_Lambda is the largest of the block norms.
+    On a singleton the block is the scalar
+    1/(h_Lambda,ii - z) - 1/(h_lim,ii - z); s is the largest of these,
+    computed exactly (0 without singletons).  Every other block c is
+    bounded by u_c = min(B1, B2) without a solve (see ``_block_bounds``):
+    B1 from ||(H - z)^{-1}|| <= 1/|Im z| for self-adjoint H, corrected by
+    the Hermiticity defect of each operator, and B2 from the Neumann
+    series about the diagonals.  A block with u_c <= s cannot attain the
+    maximum and is pruned.  On the union U of the remaining blocks the
+    largest singular value of D_U is the square root of the largest
+    eigenvalue of D_U^* D_U, computed by Lanczos (ARPACK ``eigsh``) with
+    both resolvents built on U only, and started from ``probe[U]`` for
+    a vector ``probe`` drawn once from ``seed``.  D_Lambda = max(s,
+    sigma_max(D_U)); when every block is pruned, D_Lambda = s and nothing
+    is solved.
+
+    s is exact up to rounding and a pruned block cannot change the
+    maximum, so only sigma_max(D_U) carries an iteration error:
+    ``opnorm_tol`` is the relative accuracy requested of its square,
+    so it is accurate to about ``opnorm_tol / 2`` relative;
     ``opnorm_max_iter`` caps ARPACK's implicit restarts, beyond which
     ``NumericError`` is raised; an exactly zero D gives D_Lambda = 0.0.
     ``opnorm_abs_tol`` is the absolute floor below which an increase
@@ -445,23 +504,34 @@ def convergence_study(
     if defect > 1e-12 * max(1.0, spec.lam):
         raise NumericError(f"renormalized operator hermiticity defect {defect:.3e}")
     totals = np.repeat(basis.totals, basis.spin.dim)
-    R_lim = StructuredResolvent(H_lim.tocsr(), z, totals)
+    lim = H_lim.tocsr()
     g_lim = ground_energy(H_lim, seed=seed)
     report = ConvergenceReport(schedule=schedule)
     rng = np.random.default_rng(seed)
     probe = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-    v0 = probe
+    U_lim, R_lim = None, None
     for Lam in schedule:
         H_L, E_L = h_cutoff(basis, spec, Lam)
-        R_L = StructuredResolvent(H_L.tocsr(), z, totals)
-        D = spla.LinearOperator(
-            (basis.dim, basis.dim),
-            matvec=lambda x: R_L.solve(x) - R_lim.solve(x),
-            rmatvec=lambda x: R_L.adjoint_solve(x) - R_lim.adjoint_solve(x),
-            dtype=complex,
-        )
-        # the top singular vector moves little between cutoffs
-        dist, v0 = _top_singular(D, v0, probe, opnorm_tol, opnorm_max_iter)
+        cut = H_L.tocsr()
+        components, singletons = split_components(abs(lim) + abs(cut))
+        steps = 1.0 / (cut.diagonal()[singletons] - z) - 1.0 / (lim.diagonal()[singletons] - z)
+        dist = float(np.max(np.abs(steps), initial=0.0))
+        bounds = []
+        if components:
+            bounds = _block_bounds(lim, cut, z, components, defect, _hermiticity_defect(cut))
+        kept = [idx for idx, u in zip(components, bounds) if u > dist]
+        if kept:
+            U = np.sort(np.concatenate(kept))
+            if not np.array_equal(U, U_lim):
+                U_lim, R_lim = U, StructuredResolvent(lim[U][:, U], z, totals[U])
+            R_L = StructuredResolvent(cut[U][:, U], z, totals[U])
+            D = spla.LinearOperator(
+                (len(U), len(U)),
+                matvec=lambda x: R_L.solve(x) - R_lim.solve(x),
+                rmatvec=lambda x: R_L.adjoint_solve(x) - R_lim.adjoint_solve(x),
+                dtype=complex,
+            )
+            dist = max(dist, _top_singular(D, probe[U], opnorm_tol, opnorm_max_iter))
         g_reg = ground_energy(H_L, seed=seed)
         report.rows.append(
             ConvergenceRow(

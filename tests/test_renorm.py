@@ -20,6 +20,7 @@ from sbfock import (
 )
 from sbfock.fock import Operator, annihilate, build_basis, create, dgamma, field
 from sbfock.ibc import restricted_block, restricted_deviation
+import sbfock.renorm as renorm
 from sbfock.renorm import (
     HamiltonianSpec,
     ConvergenceReport,
@@ -571,6 +572,109 @@ def test_convergence_study_distances_match_dense_svd(make):
     rep = convergence_study(spec, schedule)
     got = [r.resolvent_distance for r in rep.rows]
     assert got == pytest.approx(dense_resolvent_distances(spec, schedule), rel=0, abs=1e-9)
+
+
+def rotating_wave_spec():
+    # lambda = 1e5 rotating-wave model: at the last cutoff every block of D
+    # is proved below the largest singleton entry
+    from sbfock.model import power_law_grid
+
+    grid, v = power_law_grid(0.0, 1.0, 16.0, 4)
+    om = grid.omegas
+    coupling = CouplingDecomposition(
+        v_le=separable(grid, np.where(om <= 1, v, 0), SIGMA_MINUS),
+        v_d=zero_form_factor(grid, 2),
+        v_n=separable(grid, np.where(om > 1, v, 0), SIGMA_MINUS),
+        s_n=1.5,
+    )
+    return HamiltonianSpec(S=SIGMA_Z.real, coupling=coupling, lam=1e5, n_max=3)
+
+
+def test_convergence_study_all_pruned_cutoff_needs_no_solve(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a pruned cutoff must not solve")
+
+    spec = rotating_wave_spec()
+    monkeypatch.setattr(renorm, "_top_singular", forbidden)
+    monkeypatch.setattr(renorm, "StructuredResolvent", forbidden)
+    rep = convergence_study(spec, [16.0])
+    [expected] = dense_resolvent_distances(spec, [16.0])
+    assert rep.rows[0].resolvent_distance == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def test_convergence_study_mixed_pruned_and_visited_blocks(monkeypatch):
+    spec = rotating_wave_spec()
+    basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
+    sizes = []
+
+    def recording(H, *args):
+        sizes.append(H.shape[0])
+        return renorm._solvers.StructuredResolvent(H, *args)
+
+    monkeypatch.setattr(renorm, "StructuredResolvent", recording)
+    schedule = [2.0, 8.0, 16.0]
+    rep = convergence_study(spec, schedule)
+    got = [r.resolvent_distance for r in rep.rows]
+    assert got == pytest.approx(dense_resolvent_distances(spec, schedule), rel=0, abs=1e-9)
+    # some blocks were solved, but not all of them
+    assert sizes and all(0 < n < basis.dim for n in sizes)
+
+
+def random_block_pair(rng, components, n, kind, dtype, skew, z):
+    """H_lim and H_L with the block pattern ``components``; H_lim carries
+    a real antisymmetric part of size ``skew``.  ``tight``: the spectrum of
+    H_lim clusters at Re z and H_L = H_lim - 1e-3, where the bounds are
+    nearly attained."""
+
+    def hermitian(k, scale):
+        X = rng.standard_normal((k, k)).astype(dtype)
+        if dtype is complex:
+            X += 1j * rng.standard_normal((k, k))
+        return scale * (X + X.conj().T) / 2
+
+    H_lim = np.zeros((n, n), dtype=complex)
+    H_L = np.zeros((n, n), dtype=complex)
+    for idx in components:
+        k = len(idx)
+        block = np.ix_(idx, idx)
+        anti = rng.standard_normal((k, k))
+        if kind == "tight":
+            H_lim[block] = z.real * np.eye(k) + hermitian(k, 0.01) + skew * (anti - anti.T)
+            H_L[block] = H_lim[block] - 1e-3 * np.eye(k)
+            continue
+        scale = 0.05 if kind == "dominant" else 1.0
+        H_lim[block] = hermitian(k, scale)
+        if kind == "dominant":
+            H_lim[idx, idx] += rng.choice([-1.0, 1.0], k) * rng.uniform(5.0, 10.0, k)
+        H_L[block] = H_lim[block] + hermitian(k, scale)
+        H_lim[block] += skew * (anti - anti.T)
+    return H_lim, H_L
+
+
+@pytest.mark.parametrize("z", [1j, 0.3 + 0.5j])
+@pytest.mark.parametrize("kind", ["dominant", "not_dominant", "tight"])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("skew", [0.0, 1e-3], ids=["hermitian", "skew"])
+def test_block_bounds_dominate_dense_block_norms(z, kind, dtype, skew):
+    rng = np.random.default_rng(7)
+    sizes = [2, 3, 5, 8, 13, 21]
+    n = sum(sizes)
+    components = [np.sort(idx) for idx in np.split(rng.permutation(n), np.cumsum(sizes)[:-1])]
+    for _ in range(5):
+        H_lim, H_L = random_block_pair(rng, components, n, kind, dtype, skew, z)
+        defects = [float(np.max(np.abs(H - H.conj().T))) for H in (H_lim, H_L)]
+        u = renorm._block_bounds(sp.csr_matrix(H_lim), sp.csr_matrix(H_L), z, components, *defects)
+        for idx, u_c in zip(components, u):
+            block = np.ix_(idx, idx)
+            eye = np.eye(len(idx))
+            D_c = np.linalg.inv(H_L[block] - z * eye) - np.linalg.inv(H_lim[block] - z * eye)
+            norm = np.linalg.norm(D_c, 2)
+            assert norm * (1 - 1e-12) <= u_c < np.inf
+            if kind == "dominant":  # the Neumann bound B2 is below ||dH_c|| / |Im z|^2 <= B1
+                dH = H_lim[block] - H_L[block]
+                assert u_c < np.linalg.norm(dH, 2) / z.imag**2
+            if kind == "tight" and not skew:
+                assert u_c <= 1.01 * norm
 
 
 def test_convergence_study_lanczos_nonconvergence_raises():

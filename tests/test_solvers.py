@@ -187,3 +187,16 @@ def test_scalar_field_component_above_cap_takes_sparse_lu():
     solver = StructuredResolvent(H.tocsr(), 1j, basis.totals.astype(np.int64))
     [(idx, part)] = solver.parts
     assert isinstance(part, solvers._SparseLUSolve) and len(idx) == basis.dim
+
+
+def test_split_components_weak_connectivity_and_order():
+    # couplings only above the diagonal: no state reaches a smaller index,
+    # so only weak connectivity joins them
+    n = 10
+    M = sp.lil_matrix((n, n), dtype=complex)
+    M.setdiag(np.arange(1.0, n + 1))
+    for i, j in [(6, 8), (0, 6), (3, 9), (2, 9), (4, 5)]:
+        M[i, j] = 0.5 - 0.25j
+    components, singletons = solvers.split_components(M.tocsr())
+    assert [idx.tolist() for idx in components] == [[0, 6, 8], [2, 3, 9], [4, 5]]
+    assert singletons.tolist() == [1, 7]
