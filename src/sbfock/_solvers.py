@@ -203,7 +203,6 @@ class StructuredResolvent:
     def __init__(self, H: sp.spmatrix, z: complex, totals_per_index: np.ndarray):
         A = (H.tocsr() - z * sp.identity(H.shape[0], format="csr", dtype=complex)).tocsr()
         A.eliminate_zeros()
-        self.shape = A.shape
         components, _ = split_components(A)
         self.parts = []
         rest = np.ones(A.shape[0], dtype=bool)

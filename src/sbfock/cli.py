@@ -25,6 +25,7 @@ import hashlib
 import json
 import re
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -72,16 +73,6 @@ _NAMED_MATRICES = {
     "sigma_minus": SIGMA_MINUS,
     "sigma_plus": SIGMA_PLUS,
 }
-
-_CONVERGE_COLUMNS = [
-    "Lambda",
-    "E_trace",
-    "resolvent_distance",
-    "ground_energy_reg",
-    "ground_energy_renorm",
-    "verdict",
-    "config_hash",
-]
 
 
 def parse_matrix(expr, key_path: str) -> np.ndarray:
@@ -156,24 +147,53 @@ _SCHEMA = {
 }
 
 
-def _check_keys(cfg: dict, path: str = ""):
-    if path == "":
-        unknown = set(cfg) - set(_SCHEMA)
-        if unknown:
-            raise ConfigError(f"unknown section(s) {sorted(unknown)}", "<root>")
-        for section, keys in cfg.items():
-            if not isinstance(keys, dict):
-                raise ConfigError("section must be an object", section)
-            bad = set(keys) - _SCHEMA[section]
-            if bad:
-                raise ConfigError(f"unknown key(s) {sorted(bad)}", section)
+def _check_keys(cfg: dict):
+    unknown = set(cfg) - set(_SCHEMA)
+    if unknown:
+        raise ConfigError(f"unknown section(s) {sorted(unknown)}", "<root>")
+    for section, keys in cfg.items():
+        if not isinstance(keys, dict):
+            raise ConfigError("section must be an object", section)
+        bad = set(keys) - _SCHEMA[section]
+        if bad:
+            raise ConfigError(f"unknown key(s) {sorted(bad)}", section)
 
 
-def _require(cfg: dict, section: str, key: str):
+def _number(value, key_path: str, kind=float):
+    """``value`` as a float, or as an int when ``kind`` is int.  A value
+    that does not convert, or an int that it would truncate, raises
+    ``ConfigError`` at ``key_path``."""
     try:
-        return cfg[section][key]
-    except KeyError:
-        raise ConfigError("missing required key", f"{section}.{key}") from None
+        number = kind(value)
+        exact = kind is float or number == float(value)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise ConfigError(f"expected {kind.__name__}, got {value!r}", key_path)
+    return number
+
+
+_REQUIRED = object()
+
+
+def _read(table: dict, key: str, where: str, kind=float, default=_REQUIRED):
+    """``table[key]``, or ``default`` when it is absent, converted by
+    ``_number`` to ``kind`` (``None`` leaves it as is); a missing required
+    key raises ``ConfigError`` at ``where.key``."""
+    value = table.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigError("missing required key", f"{where}.{key}")
+    return value if kind is None else _number(value, f"{where}.{key}", kind)
+
+
+def _build(where, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a library error it raises (a grid or
+    model the config describes is invalid) becomes ``ConfigError`` at
+    ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except SbfockError as exc:
+        raise ConfigError(str(exc), where) from None
 
 
 def _profile_from(entry, base: np.ndarray, mask: np.ndarray, key_path: str) -> np.ndarray:
@@ -184,10 +204,10 @@ def _profile_from(entry, base: np.ndarray, mask: np.ndarray, key_path: str) -> n
         unknown = set(entry) - {"scale"}
         if unknown:
             raise ConfigError(f"unknown key(s) {sorted(unknown)}", key_path)
-        return float(entry.get("scale", 1.0)) * np.where(mask, base, 0.0)
-    vals = np.asarray(entry, dtype=float)
-    if vals.shape != base.shape:
+        return _read(entry, "scale", key_path, default=1.0) * np.where(mask, base, 0.0)
+    if not isinstance(entry, list) or len(entry) != len(base):
         raise ConfigError("explicit profile length must equal the number of modes", key_path)
+    vals = np.array([_number(v, f"{key_path}[{i}]") for i, v in enumerate(entry)])
     return np.where(mask, vals, 0.0)
 
 
@@ -213,38 +233,43 @@ def parse_config(path) -> tuple[HamiltonianSpec, list, dict]:
         if section not in cfg:
             raise ConfigError("missing required section", section)
 
-    family = _require(cfg, "grid", "family")
-    kappa = float(_require(cfg, "grid", "kappa"))
+    grid_section = cfg["grid"]
+    family = _read(grid_section, "family", "grid", kind=None)
+    kappa = _read(grid_section, "kappa", "grid")
     if family == "power_law":
-        beta = float(_require(cfg, "grid", "beta"))
-        lambda_max = float(_require(cfg, "grid", "lambda_max"))
-        n_modes = int(_require(cfg, "grid", "n_modes"))
+        beta = _read(grid_section, "beta", "grid")
+        lambda_max = _read(grid_section, "lambda_max", "grid")
+        n_modes = _read(grid_section, "n_modes", "grid", int)
         if kappa >= lambda_max:
             raise ConfigError("kappa must be strictly below lambda_max", "grid.kappa")
-        grid, profile = power_law_grid(beta, kappa, lambda_max, n_modes)
+        grid, profile = _build("grid", power_law_grid, beta, kappa, lambda_max, n_modes)
     elif family == "explicit":
-        modes = _require(cfg, "grid", "modes")
+        modes = _read(grid_section, "modes", "grid", kind=None)
         if not isinstance(modes, list) or not modes:
             raise ConfigError("explicit grid needs a nonempty mode list", "grid.modes")
         ks, oms, mus, vs = [], [], [], []
         for i, mode in enumerate(modes):
+            where = f"grid.modes[{i}]"
+            if not isinstance(mode, dict):
+                raise ConfigError("mode must be an object", where)
             bad = set(mode) - {"k", "omega", "mu", "v"}
             if bad:
-                raise ConfigError(f"unknown key(s) {sorted(bad)}", f"grid.modes[{i}]")
-            oms.append(float(mode["omega"]))
-            ks.append(float(mode.get("k", mode["omega"])))
-            mus.append(float(mode.get("mu", 1.0)))
-            vs.append(float(mode.get("v", 1.0)))
-        grid = ModeGrid(
-            labels=np.array(ks), omegas=np.array(oms), mus=np.array(mus), kappa=kappa
+                raise ConfigError(f"unknown key(s) {sorted(bad)}", where)
+            oms.append(_read(mode, "omega", where))
+            ks.append(_read(mode, "k", where, default=oms[-1]))
+            mus.append(_read(mode, "mu", where, default=1.0))
+            vs.append(_read(mode, "v", where, default=1.0))
+        grid = _build(
+            "grid", ModeGrid, labels=np.array(ks), omegas=np.array(oms), mus=np.array(mus),
+            kappa=kappa,
         )
         profile = np.array(vs)
     else:
         raise ConfigError(f"unknown grid family {family!r}", "grid.family")
 
-    dim = int(_require(cfg, "spin", "dim"))
     spin_cfg = cfg["spin"]
-    S = parse_matrix(_require(cfg, "spin", "S"), "spin.S")
+    dim = _read(spin_cfg, "dim", "spin", int)
+    S = parse_matrix(_read(spin_cfg, "S", "spin", kind=None), "spin.S")
     if S.shape != (dim, dim):
         raise ConfigError(f"S has shape {S.shape}, expected ({dim}, {dim})", "spin.S")
 
@@ -266,7 +291,7 @@ def parse_config(path) -> tuple[HamiltonianSpec, list, dict]:
     v_le = coupling_part("B_le", "v_le", low_mask)
     v_d = coupling_part("B_D", "v_d", high_mask)
     v_n = coupling_part("B_N", "v_n", high_mask)
-    s_n = float(cfg["ibc"].get("s_n", 2.0))
+    s_n = _read(cfg["ibc"], "s_n", "ibc", default=2.0)
     coupling = CouplingDecomposition(v_le=v_le, v_d=v_d, v_n=v_n, s_n=s_n)
 
     structure = check_structure(coupling)
@@ -277,29 +302,28 @@ def parse_config(path) -> tuple[HamiltonianSpec, list, dict]:
                 "spin",
             )
 
-    lam = float(_require(cfg, "ibc", "lambda"))
-    n_max = int(_require(cfg, "fock", "n_max"))
-    try:
-        spec = HamiltonianSpec(S=S, coupling=coupling, lam=lam, n_max=n_max)
-    except SbfockError as exc:
-        raise ConfigError(str(exc)) from None
+    lam = _read(cfg["ibc"], "lambda", "ibc")
+    n_max = _read(cfg["fock"], "n_max", "fock", int)
+    spec = _build(None, HamiltonianSpec, S=S, coupling=coupling, lam=lam, n_max=n_max)
 
-    schedule = [float(x) for x in _require(cfg, "run", "schedule")]
+    run = cfg["run"]
+    schedule = _read(run, "schedule", "run", kind=None)
+    if not isinstance(schedule, list) or not schedule:
+        raise ConfigError("schedule must be a nonempty list of cutoffs", "run.schedule")
+    schedule = [_number(x, f"run.schedule[{i}]") for i, x in enumerate(schedule)]
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigError("schedule must be strictly increasing", "run.schedule")
 
-    run = cfg["run"]
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     options = {
-        "seed": int(run.get("seed", 0)),
-        "tolerance_scale": float(run.get("tolerance_scale", 1.0)),
-        "opnorm_tol": float(run.get("opnorm_tol", 1e-6)),
-        "opnorm_abs_tol": float(run.get("opnorm_abs_tol", 1e-7)),
-        "vanhove_n_max": int(run.get("vanhove_n_max", 28)),
-        "vanhove_restrict_m": int(run.get("vanhove_restrict_m", 4)),
-        "verify_samples": int(run.get("verify_samples", 100)),
+        "seed": _read(run, "seed", "run", int, 0),
+        "tolerance_scale": _read(run, "tolerance_scale", "run", default=1.0),
+        "opnorm_tol": _read(run, "opnorm_tol", "run", default=1e-6),
+        "opnorm_abs_tol": _read(run, "opnorm_abs_tol", "run", default=1e-7),
+        "vanhove_n_max": _read(run, "vanhove_n_max", "run", int, 28),
+        "vanhove_restrict_m": _read(run, "vanhove_restrict_m", "run", int, 4),
+        "verify_samples": _read(run, "verify_samples", "run", int, 100),
         "profile": profile,
-        "grid_cfg": cfg["grid"],
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest()[:12],
     }
     return spec, schedule, options
@@ -314,28 +338,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, columns, rows):
-    with open(path, "w", newline="\n") as fh:
+def _write_outputs(out: Path, cmd: str, config_hash: str, columns, rows, passed, summary) -> int:
+    """Write ``<cmd>.csv`` (``verify_results.csv`` for verify), the columns
+    and rows with the config hash appended to each, and ``<cmd>.json``,
+    ``summary`` with the command, config hash and verdict.  Returns the
+    exit code of the verdict."""
+    csv_name = "verify_results" if cmd == "verify" else cmd
+    with open(out / f"{csv_name}.csv", "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow([*columns, "config_hash"])
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _write_json(path: Path, payload):
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _suite_rows(suites, config_hash):
-    for suite in suites:
-        for r in suite.results:
-            yield (
-                f"{suite.name}/{r.name}",
-                r.verdict,
-                repr(float(r.max_violation)),
-                repr(float(r.tolerance)),
-                config_hash,
-            )
+            writer.writerow([_fmt(v) for v in (*row, config_hash)])
+    payload = {"command": cmd, "config_hash": config_hash, "passed": passed, **summary}
+    (out / f"{cmd}.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 # ------------------------------------------------------------ verify command
@@ -449,30 +465,30 @@ def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
 
 
 # ------------------------------------------------------------------ commands
+#
+# Each handler runs its study, prints its summary lines and returns
+# (columns, rows, passed, summary) for ``_write_outputs``.
 
 
-def _cmd_verify(spec, schedule, options, out: Path) -> int:
+def _cmd_verify(spec, schedule, options):
     suites = _run_verify_suites(spec, options)
-    rows = list(_suite_rows(suites, options["config_hash"]))
-    _write_csv(out / "verify_results.csv", ["check", "verdict", "max_violation", "tolerance", "config_hash"], rows)
-    passed = all(s.passed for s in suites)
-    _write_json(
-        out / "verify.json",
-        {
-            "command": "verify",
-            "config_hash": options["config_hash"],
-            "passed": passed,
-            "n_checks": len(rows),
-            "worst_violation": max((s.worst() for s in suites), default=0.0),
-        },
-    )
     for suite in suites:
         for line in suite.summary_lines():
             print(line)
-    return EXIT_OK if passed else EXIT_FAIL
+    rows = [
+        (f"{suite.name}/{r.name}", r.verdict, repr(float(r.max_violation)), repr(float(r.tolerance)))
+        for suite in suites
+        for r in suite.results
+    ]
+    summary = {
+        "n_checks": len(rows),
+        "worst_violation": max((s.worst() for s in suites), default=0.0),
+    }
+    columns = ["check", "verdict", "max_violation", "tolerance"]
+    return columns, rows, all(s.passed for s in suites), summary
 
 
-def _cmd_converge(spec, schedule, options, out: Path) -> int:
+def _cmd_converge(spec, schedule, options):
     report = convergence_study(
         spec,
         schedule,
@@ -480,114 +496,69 @@ def _cmd_converge(spec, schedule, options, out: Path) -> int:
         opnorm_abs_tol=options["opnorm_abs_tol"],
         seed=options["seed"],
     )
-    rows = [
-        (
-            r.Lambda,
-            r.e_trace,
-            r.resolvent_distance,
-            r.ground_energy_reg,
-            r.ground_energy_renorm,
-            report.verdict,
-            options["config_hash"],
-        )
-        for r in report.rows
-    ]
-    _write_csv(out / "converge.csv", _CONVERGE_COLUMNS, rows)
-    _write_json(
-        out / "converge.json",
-        {
-            "command": "converge",
-            "config_hash": options["config_hash"],
-            "passed": report.passed,
-            "nonincreasing_ok": report.nonincreasing_ok,
-            "decay_ok": report.decay_ok,
-            "distances": [r.resolvent_distance for r in report.rows],
-            "schedule": report.schedule,
-        },
-    )
     for r in report.rows:
         print(
             f"Lambda={r.Lambda:g} E_trace={r.e_trace:.6g} distance={r.resolvent_distance:.6g} verdict={report.verdict}"
         )
-    return EXIT_OK if report.passed else EXIT_FAIL
+    columns = [
+        "Lambda",
+        "E_trace",
+        "resolvent_distance",
+        "ground_energy_reg",
+        "ground_energy_renorm",
+        "verdict",
+    ]
+    rows = [(*astuple(r), report.verdict) for r in report.rows]
+    summary = {
+        "nonincreasing_ok": report.nonincreasing_ok,
+        "decay_ok": report.decay_ok,
+        "distances": [r.resolvent_distance for r in report.rows],
+        "schedule": report.schedule,
+    }
+    return columns, rows, report.passed, summary
 
 
-def _cmd_vanhove(spec, schedule, options, out: Path) -> int:
-    grid_cfg = options["grid_cfg"]
+def _cmd_vanhove(spec, schedule, options):
     report = vanhove_demo(
-        float(grid_cfg.get("beta", 0.0)),
+        spec.grid,
+        options["profile"],
         schedule,
         n_max=options["vanhove_n_max"],
         restrict_m=options["vanhove_restrict_m"],
-        grid_and_profile=(spec.grid, options["profile"]),
-    )
-    rows = [
-        (
-            r.Lambda,
-            r.conjugation_deviation,
-            r.parity_expectation,
-            r.parity_oracle,
-            r.ground_energy,
-            r.ground_oracle,
-            report.verdict,
-            options["config_hash"],
-        )
-        for r in report.rows
-    ]
-    _write_csv(
-        out / "vanhove.csv",
-        [
-            "Lambda",
-            "conjugation_deviation",
-            "parity_expectation",
-            "parity_oracle",
-            "ground_energy",
-            "ground_oracle",
-            "verdict",
-            "config_hash",
-        ],
-        rows,
-    )
-    _write_json(
-        out / "vanhove.json",
-        {
-            "command": "vanhove",
-            "config_hash": options["config_hash"],
-            "passed": report.passed,
-            "conjugation_ok": report.conjugation_ok,
-            "parity_ok": report.parity_ok,
-            "energy_ok": report.energy_ok,
-        },
     )
     for r in report.rows:
         print(
             f"Lambda={r.Lambda:g} deviation={r.conjugation_deviation:.3e} "
             f"parity={r.parity_expectation:.6e} ground={r.ground_energy:.6g}"
         )
-    return EXIT_OK if report.passed else EXIT_FAIL
+    columns = [
+        "Lambda",
+        "conjugation_deviation",
+        "parity_expectation",
+        "parity_oracle",
+        "ground_energy",
+        "ground_oracle",
+        "verdict",
+    ]
+    rows = [(*astuple(r), report.verdict) for r in report.rows]
+    summary = {
+        "conjugation_ok": report.conjugation_ok,
+        "parity_ok": report.parity_ok,
+        "energy_ok": report.energy_ok,
+    }
+    return columns, rows, report.passed, summary
 
 
-def _cmd_spectrum(spec, schedule, options, out: Path) -> int:
+def _cmd_spectrum(spec, schedule, options):
     basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
     rows = []
     for Lam in schedule:
         H_L, E_L = h_cutoff(basis, spec, Lam)
         g = ground_energy(H_L, seed=options["seed"])
-        rows.append((Lam, float(np.trace(E_L).real), g, options["config_hash"]))
+        rows.append((Lam, float(np.trace(E_L).real), g))
         print(f"Lambda={Lam:g} ground_energy={g:.8g}")
-    _write_csv(
-        out / "spectrum.csv", ["Lambda", "E_trace", "ground_energy_reg", "config_hash"], rows
-    )
-    _write_json(
-        out / "spectrum.json",
-        {
-            "command": "spectrum",
-            "config_hash": options["config_hash"],
-            "passed": True,
-            "ground_energies": [r[2] for r in rows],
-        },
-    )
-    return EXIT_OK
+    columns = ["Lambda", "E_trace", "ground_energy_reg"]
+    return columns, rows, True, {"ground_energies": [r[2] for r in rows]}
 
 
 def _cmd_report(out: Path) -> int:
@@ -638,7 +609,8 @@ def run_command(
     }
     if cmd not in handlers:
         raise ConfigError(f"unknown command {cmd!r}")
-    return handlers[cmd](spec, schedule, options, out)
+    columns, rows, passed, summary = handlers[cmd](spec, schedule, options)
+    return _write_outputs(out, cmd, options["config_hash"], columns, rows, passed, summary)
 
 
 def main(argv=None) -> int:

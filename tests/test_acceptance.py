@@ -435,9 +435,8 @@ def test_criterion_8_convergence_study():
 
 def test_criterion_9_vanhove_demo():
     t0 = time.perf_counter()
-    rep = vanhove_demo(
-        -0.5, [2.0, 4.0, 8.0, 20.0], lambda_max=32.0, n_modes=4, n_max=28, restrict_m=4
-    )
+    grid, v = power_law_grid(-0.5, 1.0, 32.0, 4)
+    rep = vanhove_demo(grid, v, [2.0, 4.0, 8.0, 20.0], n_max=28, restrict_m=4)
     devs = [r.conjugation_deviation for r in rep.rows]
     pars = [r.parity_expectation for r in rep.rows]
     grounds = [r.ground_energy for r in rep.rows]

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from sbfock import ConfigError
 from sbfock.cli import main, parse_config, parse_matrix, run_command
+from sbfock.renorm import vanhove_demo
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -118,6 +120,39 @@ def test_parse_config_explicit_grid(tmp_path):
     assert spec.coupling.v_n.values[1, 1, 0] == pytest.approx(0.7)
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("fock", "n_max", "abc"),
+        ("ibc", "lambda", "x"),
+        ("run", "schedule", ["a"]),
+        ("run", "schedule", 4.0),
+        ("run", "schedule", []),
+        ("run", "seed", "x"),
+        ("run", "vanhove_n_max", 28.5),
+        ("spin", "dim", "two"),
+        ("grid", "kappa", None),
+        ("grid", "n_modes", 2.5),
+        ("spin", "v_le", ["a"]),
+        ("spin", "v_le", {"scale": "big"}),
+        ("grid", None, {"family": "explicit", "kappa": 1.0, "modes": [{"mu": 1.0, "v": 0.5}]}),
+        ("grid", None, {"family": "explicit", "kappa": 1.0, "modes": [5]}),
+        ("grid", "n_modes", 1),
+        ("grid", None, {"family": "explicit", "kappa": 1.0, "modes": [{"omega": -1.0}]}),
+    ],
+)
+def test_malformed_config_value_exits_config_error(tmp_path, capsys, section, key, value):
+    cfg = json.loads((CONFIGS / "ex2_default.json").read_text())
+    if key is None:
+        cfg[section] = value
+    else:
+        cfg[section][key] = value
+    p = write_config(tmp_path, cfg)
+    assert main(["verify", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f" at {section}" in err, err
+
+
 # ------------------------------------------------------------------ commands
 
 
@@ -204,6 +239,41 @@ def test_vanhove_small_demo_exit_zero(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "out" / "vanhove.json").read_text())
     assert payload["parity_ok"] and payload["conjugation_ok"] and payload["energy_ok"]
+
+
+def test_vanhove_explicit_grid_matches_direct_call(tmp_path):
+    cfg = {
+        "grid": {
+            "family": "explicit",
+            "kappa": 1.0,
+            "modes": [
+                {"omega": 0.6, "mu": 0.5, "v": 0.6**0.5},
+                {"omega": 2.0, "mu": 2.0, "v": 2.0**0.5},
+                {"omega": 5.0, "mu": 4.0, "v": 5.0**0.5},
+            ],
+        },
+        "spin": {"dim": 2, "S": "sigma_z", "B_le": "sigma_x", "B_D": "sigma_x"},
+        "fock": {"n_max": 4},
+        "ibc": {"lambda": 1.0, "s_n": 1.5},
+        "run": {"schedule": [1.0, 8.0], "seed": 0, "vanhove_n_max": 22, "vanhove_restrict_m": 2},
+    }
+    p = write_config(tmp_path, cfg)
+    assert main(["vanhove", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+    spec, schedule, options = parse_config(p)
+    rep = vanhove_demo(spec.grid, options["profile"], schedule, n_max=22, restrict_m=2)
+    with open(tmp_path / "out" / "vanhove.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(rep.rows) == 2
+    for row, r in zip(rows, rep.rows):
+        assert [float(row[k]) for k in (
+            "Lambda",
+            "conjugation_deviation",
+            "parity_expectation",
+            "parity_oracle",
+            "ground_energy",
+            "ground_oracle",
+        )] == list(astuple(r))
+        assert (row["verdict"], row["config_hash"]) == ("PASS", options["config_hash"])
 
 
 def test_spectrum_command(tmp_path):

@@ -698,13 +698,7 @@ def test_convergence_study_zero_distance_passes():
 
 def test_vanhove_zero_coupling_values():
     g = grid_of([1.0, 2.0], kappa=0.5)
-    rep = vanhove_demo(
-        0.0,
-        [1.5, 3.0],
-        n_max=6,
-        restrict_m=2,
-        grid_and_profile=(g, np.zeros(2)),
-    )
+    rep = vanhove_demo(g, np.zeros(2), [1.5, 3.0], n_max=6, restrict_m=2)
     for r in rep.rows:
         assert r.parity_expectation == pytest.approx(1.0, abs=1e-12)
         assert r.ground_energy == pytest.approx(0.0, abs=1e-10)
@@ -714,13 +708,7 @@ def test_vanhove_zero_coupling_values():
 def test_vanhove_single_mode_parity_value():
     # one mode omega=1, mu=1, v=1: dressed-vacuum parity expectation e^{-2}
     g = grid_of([1.0], kappa=0.5)
-    rep = vanhove_demo(
-        0.0,
-        [2.0],
-        n_max=16,
-        restrict_m=2,
-        grid_and_profile=(g, np.array([1.0])),
-    )
+    rep = vanhove_demo(g, np.array([1.0]), [2.0], n_max=16, restrict_m=2)
     assert rep.rows[0].parity_expectation == pytest.approx(np.exp(-2.0), abs=1e-6)
     assert rep.rows[0].conjugation_deviation <= 1e-7
 
@@ -740,7 +728,7 @@ def test_vanhove_canonical_schedule_parity_and_growth():
         exact = np.log(2 * Lam)
         assert abs(dress_sq[-1] - exact) <= 0.20 * exact  # coarse 4-mode quadrature
     assert all(b > a for a, b in zip(dress_sq, dress_sq[1:]))
-    rep = vanhove_demo(-0.5, [4.0, 16.0, 64.0, 256.0], n_max=24, restrict_m=2)
+    rep = vanhove_demo(grid, v, [4.0, 16.0, 64.0, 256.0], n_max=24, restrict_m=2)
     pars = [r.parity_expectation for r in rep.rows]
     assert all(b < a for a, b in zip(pars, pars[1:]))
     assert pars[-1] < 0.05 * pars[0]
