@@ -44,7 +44,6 @@ from .fock import (
     field,
     function_of_dgamma,
     parity,
-    sector_projector,
     vacuum,
 )
 from .ibc import (
@@ -56,7 +55,7 @@ from .ibc import (
     verify_ibc_bounds,
     xi,
 )
-from .dressing import conjugate, verify_weyl_continuity, verify_weyl_transforms, weyl
+from .dressing import verify_weyl_continuity, verify_weyl_transforms, weyl
 from .renorm import (
     ConvergenceReport,
     HamiltonianSpec,
@@ -66,7 +65,6 @@ from .renorm import (
     h_reg,
     h_renormalized,
     opnorm,
-    resolvent,
     vanhove_demo,
     verify_transformed_operator_identities,
 )
@@ -109,7 +107,6 @@ __all__ = [
     "field",
     "function_of_dgamma",
     "parity",
-    "sector_projector",
     "vacuum",
     # ibc
     "g_op",
@@ -120,7 +117,6 @@ __all__ = [
     "verify_ibc_bounds",
     "xi",
     # dressing
-    "conjugate",
     "verify_weyl_continuity",
     "verify_weyl_transforms",
     "weyl",
@@ -133,7 +129,6 @@ __all__ = [
     "h_reg",
     "h_renormalized",
     "opnorm",
-    "resolvent",
     "vanhove_demo",
     "verify_transformed_operator_identities",
     # reports

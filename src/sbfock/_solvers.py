@@ -1,8 +1,7 @@
 """Structured solvers for (H - z) x = b on truncated bases.
 
-Public resolvents are materialized densely only at small dimension; the
-cutoff studies need resolvent *actions* at dimensions far beyond the
-dense cap.  The coupling graph of a truncated spin-boson generator
+The cutoff studies need resolvent *actions* at dimensions far beyond
+the dense cap.  The coupling graph of a truncated spin-boson generator
 splits into independent components (dead modes, spin-polarized sectors,
 decoupled singletons); ``split_components`` finds them for both the
 resolvent and ``renorm.ground_energy``.  A component above

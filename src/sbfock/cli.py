@@ -14,7 +14,8 @@ spectrum  tabulate ground energies along the cutoff schedule
 report    render previously written outputs as a human-readable summary
 
 Exit codes: 0 all verdicts PASS, 1 a verdict FAILed, 2 configuration or
-usage error, 3 numeric failure inside a computation.
+usage error (a size cap or an invalid model met inside a command
+included), 3 numeric failure inside a computation.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, NumericError, SbfockError
-from .fock import Operator, SpinSpace, build_basis, create, dgamma, field
+from .fock import Operator, SpinSpace, build_basis, create, dgamma, field, spin_operator
 from .ibc import restricted_block, t_op, verify_ibc_bounds, xi
 from .dressing import verify_weyl_continuity, verify_weyl_transforms
 from .model import (
@@ -388,7 +389,6 @@ def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
         """max |X| on the total-boson-number <= m_safe block."""
         return float(np.max(np.abs(restricted_block(Operator(basis, X), m_safe))))
 
-    eye_fock = sp.identity(basis.n_fock, format="csr")
     suites = [check_structure(spec.coupling)]
 
     ccr = CheckSuite("fock_ccr")
@@ -398,7 +398,7 @@ def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
         phiF = field(basis, F).tocsr()
         phiG = field(basis, G).tocsr()
         comm = phiF @ phiG - phiG @ phiF
-        shift = sp.kron(eye_fock, sp.csr_matrix(bs_inner(F, G, 0.0) - bs_inner(G, F, 0.0)))
+        shift = spin_operator(basis, bs_inner(F, G, 0.0) - bs_inner(G, F, 0.0))
         dev_val = block_max(comm - shift)
         ccr.add(CheckResult(f"field_commutator_{trial}", dev_val <= tol_id, dev_val, tol_id))
         dg = dgamma(basis, spec.grid.omegas).tocsr()
@@ -420,11 +420,9 @@ def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
             spec.grid, 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         )
         T = t_op(basis, F, lam)
-        res = sp.diags(np.repeat(1.0 / (basis.energies + lam), dim))
+        res = sp.diags(basis.lift(1.0 / (basis.energies + lam)))
         ad = create(basis, F).tocsr()
-        oracle = ad.conj().T @ res @ ad - sp.kron(
-            eye_fock, sp.csr_matrix(bs_inner(F, F, 1.0))
-        )
+        oracle = ad.conj().T @ res @ ad - spin_operator(basis, bs_inner(F, F, 1.0))
         dev_val = block_max(T.tocsr() - oracle)
         ibc_suite.add(
             CheckResult(f"normal_ordering_{trial}", dev_val <= tol_id, dev_val, tol_id)
@@ -433,7 +431,7 @@ def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
         Xi = xi(basis, spec.coupling.v_n, spec.coupling.v_n, lam)
         target = (
             h_reg(basis, np.zeros((dim, dim)), spec.coupling.v_n).tocsr()
-            + sp.kron(eye_fock, sp.csr_matrix(bs_inner(spec.coupling.v_n, spec.coupling.v_n, 1.0)))
+            + spin_operator(basis, bs_inner(spec.coupling.v_n, spec.coupling.v_n, 1.0))
             + lam * sp.identity(basis.dim, format="csr")
         )
         dev_val = block_max(Xi.tocsr() - target)
@@ -636,15 +634,13 @@ def main(argv=None) -> int:
         return run_command(
             args.command, args.config, args.out, seed=args.seed, tolerance_scale=args.tolerance_scale
         )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except SbfockError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    except SbfockError as exc:  # config error, or a size cap or invalid model met in a command
+        kind = "config error" if isinstance(exc, ConfigError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

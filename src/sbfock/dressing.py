@@ -19,8 +19,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _solvers
-from .errors import NumericError, ParameterError, ResourceError, StructuralError
-from .fock import OccupationBasis, Operator, annihilate, dgamma, field
+from .errors import NumericError, ResourceError
+from .fock import OccupationBasis, Operator, annihilate, dgamma, field, spin_operator
 from .model import FormFactor, bs_inner, bs_norm
 from .reports import CheckResult, CheckSuite
 
@@ -68,26 +68,6 @@ def weyl_action(basis: OccupationBasis, F: FormFactor):
     )
 
 
-def _sector_columns(basis: OccupationBasis, m: int):
-    """Indices of the states with total boson number <= m, and the unit
-    vectors on them as the columns of a (dim, len(indices)) array."""
-    if not 0 <= m <= basis.n_max:
-        raise ParameterError("sector bound m must satisfy 0 <= m <= n_max")
-    idx = np.nonzero(np.repeat(basis.totals <= m, basis.spin.dim))[0]
-    units = np.zeros((basis.dim, len(idx)), dtype=complex)
-    units[idx, np.arange(len(idx))] = 1.0
-    return idx, units
-
-
-def conjugate(H: Operator, W: Operator) -> Operator:
-    """Sandwich W H W^*."""
-    if H.matrix.shape != W.matrix.shape:
-        raise StructuralError("operator shapes do not match")
-    Wm = W.dense() if sp.issparse(W.matrix) else W.matrix
-    Hm = H.dense()
-    return Operator(H.basis, Wm @ Hm @ Wm.conj().T)
-
-
 def _pointwise_commutators_vanish(F: FormFactor, G: FormFactor) -> float:
     """Max violation of [F,G] = [F,G*] = [F,F*] = [F,F] = 0 (pointwise in
     the mode indices)."""
@@ -120,10 +100,9 @@ def verify_weyl_transforms(
         return suite
     if m is None:
         m = max(basis.n_max - 3, 0)
-    idx, units = _sector_columns(basis, m)
+    idx = basis.sector(m)
     _, apply_W_adjoint = weyl_action(basis, F)
-    Y = apply_W_adjoint(units)  # W^*[:, sel], so (W X W^*)[sel, sel] = Y^H X Y
-    eye_fock = sp.identity(basis.n_fock, format="csr")
+    Y = apply_W_adjoint(basis.unit_columns(idx))  # W^*[:, idx]: (W X W^*)[idx, idx] = Y^H X Y
 
     def block_deviation(X, expected):
         lhs = Y.conj().T @ (X @ Y)
@@ -131,12 +110,12 @@ def verify_weyl_transforms(
 
     phiG = field(basis, G).tocsr()
     shift = bs_inner(F, G, 0.0) + bs_inner(G, F, 0.0)
-    dev = block_deviation(phiG, phiG + sp.kron(eye_fock, shift, format="csr"))
+    dev = block_deviation(phiG, phiG + spin_operator(basis, shift))
     suite.add(CheckResult("field_transform", dev <= tol, dev, tol))
 
     dg = dgamma(basis, basis.grid.omegas).tocsr()
     omegaF = FormFactor(basis.grid, basis.grid.omegas[:, None, None] * F.values)
-    shift2 = sp.kron(eye_fock, bs_inner(F, F, -1.0), format="csr")
+    shift2 = spin_operator(basis, bs_inner(F, F, -1.0))
     dev2 = block_deviation(dg, dg + field(basis, omegaF).tocsr() + shift2)
     suite.add(CheckResult("number_transform", dev2 <= tol, dev2, tol))
     return suite
@@ -172,7 +151,8 @@ def verify_weyl_continuity(
         return suite
     if m is None:
         m = max(basis.n_max - 4, 0)
-    idx, units = _sector_columns(basis, m)
+    idx = basis.sector(m)
+    units = basis.unit_columns(idx)
     rng = np.random.default_rng(seed)
     apply_WF, _ = weyl_action(basis, F)
     apply_WG, _ = weyl_action(basis, G)
@@ -183,7 +163,7 @@ def verify_weyl_continuity(
     gen_ff = FormFactor(basis.grid, 1j * (F.values - G.values))
     phi_diff = field(basis, gen_ff).tocsr()[:, idx]
     pairing = bs_inner(F, gen_ff, 0.0) + bs_inner(gen_ff, F, 0.0)
-    pairing_cols = sp.kron(sp.identity(basis.n_fock), pairing, format="csr")[:, idx]
+    pairing_cols = spin_operator(basis, pairing)[:, idx]
 
     worst = 0.0
     for _ in range(n_samples):
@@ -203,7 +183,7 @@ def verify_weyl_continuity(
     base = 4.0 * max(bs_norm(diff_ff, 0.0), bs_norm(diff_ff, 1.0)) + 0.5 * np.linalg.norm(
         pairing, ord=2
     )
-    energies = np.repeat(basis.energies, basis.spin.dim)[idx]
+    energies = basis.lift(basis.energies)[idx]
     for theta, name in ((0.0, "theta0_norm_bound"), (1.0, "theta1_norm_bound")):
         weight = (1.0 + energies) ** (-theta / 2.0)
         mat = diff_W[idx] * weight[None, :]

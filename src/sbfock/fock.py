@@ -6,7 +6,9 @@ boson number, then lexicographic occupation, then spin index (spin is the
 fastest index).  Discrete modes are orthonormalized, so the per-mode
 ladder operators satisfy [a_i, a_j^*] = delta_ij exactly and all
 quadrature weights enter through sqrt(mu_i) prefactors of the smeared
-operators.
+operators.  Only this module knows the index layout; the others go
+through ``OccupationBasis.lift``, ``sector`` and ``unit_columns``,
+``spin_operator`` and ``block_diag_operator``.
 """
 
 from __future__ import annotations
@@ -84,9 +86,26 @@ class OccupationBasis:
         return self.occupations[idx // self.spin.dim], idx % self.spin.dim
 
     def unit_vector(self, occupation, spin_index: int = 0) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        v[self.index(occupation, spin_index)] = 1.0
-        return v
+        return self.unit_columns([self.index(occupation, spin_index)])[:, 0]
+
+    def lift(self, fock_values) -> np.ndarray:
+        """A per-Fock-state array (totals, energies, dGamma weights) on the
+        full index, where each value repeats over the spin states."""
+        return np.repeat(fock_values, self.spin.dim)
+
+    def sector(self, m: int) -> np.ndarray:
+        """Ascending indices of the states with total boson number <= m
+        (every state when m >= n_max)."""
+        if m < 0:
+            raise ParameterError("sector bound m must be >= 0")
+        return np.nonzero(self.lift(self.totals <= m))[0]
+
+    def unit_columns(self, idx) -> np.ndarray:
+        """The unit vectors on the indices ``idx`` as the columns of a
+        (dim, len(idx)) array."""
+        units = np.zeros((self.dim, len(idx)), dtype=complex)
+        units[idx, np.arange(len(idx))] = 1.0
+        return units
 
     def lowering_table(self):
         """Cached (state, mode, child, sqrt(n)) table of all single-boson
@@ -191,9 +210,35 @@ def _check_grid(basis: OccupationBasis, F: FormFactor):
         raise StructuralError("form factor spin dimension does not match basis")
 
 
+def spin_operator(basis: OccupationBasis, M, fock=None) -> sp.csr_matrix:
+    """The CSR matrix of ``fock`` (x) ``M`` on the full index: ``fock`` on
+    the Fock factor (the identity when None) and the spin matrix ``M``."""
+    if fock is None:
+        fock = sp.identity(basis.n_fock, format="csr")
+    return sp.kron(fock, M, format="csr")
+
+
 def _diag_operator(basis: OccupationBasis, fock_values: np.ndarray) -> Operator:
-    vals = np.repeat(np.asarray(fock_values, dtype=complex), basis.spin.dim)
+    vals = basis.lift(np.asarray(fock_values, dtype=complex))
     return Operator(basis, sp.diags(vals, format="csr"))
+
+
+def _spin_blocks(basis: OccupationBasis, fock_rows, fock_cols, blocks) -> sp.csr_matrix:
+    """CSR matrix holding the spin block blocks[k] (d x d) at Fock position
+    (fock_rows[k], fock_cols[k]); zero entries are not stored."""
+    d = basis.spin.dim
+    rr, cc = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    rows = (fock_rows[:, None, None] * d + rr[None, :, :]).ravel()
+    cols = (fock_cols[:, None, None] * d + cc[None, :, :]).ravel()
+    data = blocks.ravel()
+    keep = data != 0
+    return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(basis.dim, basis.dim))
+
+
+def block_diag_operator(basis: OccupationBasis, blocks: np.ndarray) -> Operator:
+    """Sparse operator that acts as blocks[s] on the spin factor of Fock state s."""
+    states = np.arange(basis.n_fock)
+    return Operator(basis, _spin_blocks(basis, states, states, blocks))
 
 
 def dgamma(basis: OccupationBasis, weights) -> Operator:
@@ -221,13 +266,6 @@ def function_of_dgamma(basis: OccupationBasis, g) -> Operator:
     return _diag_operator(basis, vals)
 
 
-def sector_projector(basis: OccupationBasis, m: int) -> Operator:
-    """Orthogonal projector onto total boson number <= m."""
-    if not 0 <= m <= basis.n_max:
-        raise ParameterError("sector bound m must satisfy 0 <= m <= n_max")
-    return _diag_operator(basis, (basis.totals <= m).astype(float))
-
-
 def annihilate(basis: OccupationBasis, F: FormFactor) -> Operator:
     """Smeared annihilation operator a(F) = sum_i sqrt(mu_i) F_i^* (x) a_i.
 
@@ -236,22 +274,13 @@ def annihilate(basis: OccupationBasis, F: FormFactor) -> Operator:
     discrete modes, pinned by <vac, a(F) a^*(F) vac> = <F, F>_{b_0}.
     """
     _check_grid(basis, F)
-    d = basis.spin.dim
     rows, modes, child, amps = basis.lowering_table()
     if len(rows) == 0 or F.is_zero():
         return Operator(basis, sp.csr_matrix((basis.dim, basis.dim), dtype=complex))
     fstar = F.values.conj().transpose(0, 2, 1)  # (M, d, d)
     blocks = fstar[modes]  # (pairs, d, d)
     weights = (np.sqrt(basis.grid.mus)[modes] * amps)[:, None, None] * blocks
-    rr, cc = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    out_rows = (child[:, None, None] * d + rr[None, :, :]).ravel()
-    out_cols = (rows[:, None, None] * d + cc[None, :, :]).ravel()
-    data = weights.ravel()
-    keep = data != 0
-    mat = sp.csr_matrix(
-        (data[keep], (out_rows[keep], out_cols[keep])), shape=(basis.dim, basis.dim)
-    )
-    return Operator(basis, mat)
+    return Operator(basis, _spin_blocks(basis, child, rows, weights))
 
 
 def create(basis: OccupationBasis, F: FormFactor) -> Operator:

@@ -23,7 +23,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, StructuralError, NumericError
-from .fock import OccupationBasis, Operator, annihilate, create, dgamma, function_of_dgamma
+from .fock import (
+    OccupationBasis,
+    Operator,
+    annihilate,
+    block_diag_operator,
+    create,
+    dgamma,
+    function_of_dgamma,
+    spin_operator,
+)
 from .model import FormFactor, bs_norm, ir_split
 from .reports import CheckResult, CheckSuite
 
@@ -39,23 +48,6 @@ def _require_positive(lam: float):
         raise ParameterError("lambda must be positive")
 
 
-def _block_diag_operator(basis: OccupationBasis, blocks: np.ndarray) -> Operator:
-    """Sparse operator that acts as blocks[s] on the spin factor of Fock state s."""
-    d = basis.spin.dim
-    if d == 1:
-        return Operator(basis, sp.diags(blocks[:, 0, 0], format="csr"))
-    n = basis.n_fock
-    rr, cc = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    base = np.arange(n)[:, None, None] * d
-    rows = (base + rr[None, :, :]).ravel()
-    cols = (base + cc[None, :, :]).ravel()
-    data = blocks.ravel()
-    keep = data != 0
-    return Operator(
-        basis, sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(basis.dim, basis.dim))
-    )
-
-
 def theta0(basis: OccupationBasis, F: FormFactor, lam: float) -> Operator:
     """Number-diagonal part: sum_i mu_i F_i^* [(dGamma+omega_i+lambda)^{-1} - omega_i^{-1}] F_i."""
     _require_positive(lam)
@@ -63,7 +55,7 @@ def theta0(basis: OccupationBasis, F: FormFactor, lam: float) -> Operator:
     kernel = 1.0 / (basis.energies[:, None] + omegas[None, :] + lam) - 1.0 / omegas[None, :]
     fstar_f = np.einsum("iab,ibc->iac", F.values.conj().transpose(0, 2, 1), F.values)
     blocks = np.einsum("si,i,iab->sab", kernel, basis.grid.mus, fstar_f)
-    return _block_diag_operator(basis, blocks)
+    return block_diag_operator(basis, blocks)
 
 
 def theta1(basis: OccupationBasis, F: FormFactor, lam: float) -> Operator:
@@ -78,13 +70,12 @@ def theta1(basis: OccupationBasis, F: FormFactor, lam: float) -> Operator:
     number.
     """
     _require_positive(lam)
-    d = basis.spin.dim
     if F.is_zero():
         return Operator(basis, sp.csr_matrix((basis.dim, basis.dim), dtype=complex))
     ad_full = create(basis, F).tocsr()
     omegas = basis.grid.omegas
     mus = basis.grid.mus
-    eye_spin = sp.identity(d, format="csr", dtype=complex)
+    eye_spin = sp.identity(basis.spin.dim, format="csr", dtype=complex)
     rows_acc, cols_acc, data_acc = [], [], []
     for r in range(basis.grid.n_modes):
         fr_star = sp.csr_matrix(F.values[r].conj().T)
@@ -93,11 +84,11 @@ def theta1(basis: OccupationBasis, F: FormFactor, lam: float) -> Operator:
         a_r = basis.mode_lowering(r)
         if a_r.nnz == 0:
             continue
-        right = ad_full @ sp.kron(a_r, eye_spin, format="csr")
+        right = ad_full @ spin_operator(basis, eye_spin, a_r)
         if right.nnz == 0:
             continue
         diag_vals = np.sqrt(mus[r]) / (basis.energies + omegas[r] + lam)
-        left = sp.kron(sp.diags(diag_vals), fr_star, format="csr")
+        left = spin_operator(basis, fr_star, sp.diags(diag_vals))
         term = (left @ right).tocoo()
         rows_acc.append(term.row)
         cols_acc.append(term.col)
@@ -205,7 +196,7 @@ def verify_ibc_bounds(
     rng = np.random.default_rng(seed)
     suite = CheckSuite("ibc_bounds")
     dim = basis.dim
-    energies = np.repeat(basis.energies, basis.spin.dim)
+    energies = basis.lift(basis.energies)
     psis = _random_vectors(dim, n_samples, rng)
 
     norm_F = bs_norm(F, s)
@@ -295,9 +286,8 @@ def verify_ibc_bounds(
     res = 1.0 / (energies + lam)
     t_rel_norm = opnorm(Operator(basis, (T_V.multiply(res[None, :])).tocsr()))
     omega_low = np.where(basis.grid.omegas <= basis.grid.kappa, basis.grid.omegas, 0.0)
-    dg_low = np.repeat(basis.occupations.astype(float) @ omega_low, basis.spin.dim)
-    dg_full = energies
-    proj = np.repeat((basis.totals <= max(basis.n_max - 2, 0)).astype(float), basis.spin.dim)
+    dg_low = basis.lift(basis.occupations.astype(float) @ omega_low)
+    proj = basis.lift((basis.totals <= max(basis.n_max - 2, 0)).astype(float))
 
     worst_inv = 0.0
     worst_frac = 0.0
@@ -310,7 +300,7 @@ def verify_ibc_bounds(
         xi_psi = xi_op @ psi_r
         rhs_common = (1.0 + g_norm) ** 2 * (1.0 + t_rel_norm) * np.linalg.norm(xi_psi)
         worst_inv = max(worst_inv, _ratio(np.linalg.norm(dg_low * psi_r), rhs_common))
-        lhs_frac = np.linalg.norm(dg_full ** (1.0 - s / 2.0) * psi_r)
+        lhs_frac = np.linalg.norm(energies ** (1.0 - s / 2.0) * psi_r)
         rhs_frac = (
             (1.0 + norm_F * lam ** (s / 2.0 - 1.0)) ** 2
             * (1.0 + t_rel_norm)
@@ -338,9 +328,7 @@ def verify_ibc_bounds(
 
 def restricted_block(op: Operator, m: int) -> np.ndarray:
     """Dense submatrix of the operator on the total-boson-number <= m sector."""
-    basis = op.basis
-    sel = np.repeat(basis.totals <= m, basis.spin.dim)
-    idx = np.nonzero(sel)[0]
+    idx = op.basis.sector(m)
     mat = op.matrix
     if sp.issparse(mat):
         return mat.tocsr()[np.ix_(idx, idx)].toarray()

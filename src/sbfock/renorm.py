@@ -25,8 +25,18 @@ import scipy.sparse.linalg as spla
 from . import _solvers
 from ._solvers import StructuredResolvent, split_components
 from .dressing import weyl, weyl_action
-from .errors import NumericError, ParameterError, ResourceError, StructuralError
-from .fock import OccupationBasis, Operator, SpinSpace, build_basis, dgamma, field, vacuum
+from .errors import NumericError, ParameterError, StructuralError
+from .fock import (
+    OccupationBasis,
+    Operator,
+    SpinSpace,
+    build_basis,
+    dgamma,
+    field,
+    parity,
+    spin_operator,
+    vacuum,
+)
 from .ibc import xi
 from .model import (
     CouplingDecomposition,
@@ -82,17 +92,13 @@ class HamiltonianSpec:
         return self.coupling.spin_dim
 
 
-def _spin_term(basis: OccupationBasis, S: np.ndarray) -> sp.csr_matrix:
-    return sp.kron(sp.identity(basis.n_fock, format="csr"), sp.csr_matrix(S), format="csr")
-
-
 def h_reg(basis: OccupationBasis, S: np.ndarray, V: FormFactor) -> Operator:
     """Regularized Hamiltonian S + dGamma(omega) + phi(V)."""
     S = np.atleast_2d(np.asarray(S, dtype=complex))
     if S.shape != (basis.spin.dim, basis.spin.dim):
         raise StructuralError("S shape does not match basis spin dimension")
     mat = (
-        _spin_term(basis, S)
+        spin_operator(basis, S)
         + dgamma(basis, basis.grid.omegas).tocsr()
         + field(basis, V).tocsr()
     )
@@ -107,9 +113,7 @@ def h_cutoff(basis: OccupationBasis, spec: HamiltonianSpec, Lam: float):
     """
     V_L = uv_truncate(spec.coupling.total(), Lam)
     E_L = renorm_energy(V_L)
-    H_L = h_reg(basis, spec.S, V_L).tocsr() + sp.kron(
-        sp.identity(basis.n_fock), sp.csr_matrix(E_L)
-    )
+    H_L = h_reg(basis, spec.S, V_L).tocsr() + spin_operator(basis, E_L)
     return Operator(basis, H_L.tocsr()), E_L
 
 
@@ -136,7 +140,7 @@ def h_renormalized(basis: OccupationBasis, spec: HamiltonianSpec) -> Operator:
     core = xi(basis, spec.coupling.v_n, spec.coupling.v_n, lam).tocsr()
     core = (core + field(basis, spec.coupling.v_le).tocsr()).tocsr()
     if spec.coupling.v_d.is_zero():
-        mat = _spin_term(basis, spec.S) + core - lam * sp.identity(
+        mat = spin_operator(basis, spec.S) + core - lam * sp.identity(
             basis.dim, format="csr", dtype=complex
         )
         return Operator(basis, mat.tocsr())
@@ -145,37 +149,11 @@ def h_renormalized(basis: OccupationBasis, spec: HamiltonianSpec) -> Operator:
     )
     W = weyl(basis, dress).matrix
     dressed = W @ core.toarray() @ W.conj().T
-    mat = _spin_term(basis, spec.S).toarray() + dressed - lam * np.eye(basis.dim)
+    mat = spin_operator(basis, spec.S).toarray() + dressed - lam * np.eye(basis.dim)
     return Operator(basis, mat)
 
 
 # ------------------------------------------------------------- linear algebra
-
-
-def resolvent(H: Operator, z: complex, verify: bool = False) -> Operator:
-    """(H - z)^{-1} via dense factorization (dimension-capped).
-
-    With ``verify=True`` the multiply-back residual max|(H-z)R - Id| is
-    checked against 1e-10.
-    """
-    if H.dim > _solvers.DENSE_SOLVE_CAP:
-        raise ResourceError(
-            f"dense resolvent at dimension {H.dim} exceeds cap {_solvers.DENSE_SOLVE_CAP}; "
-            "the study operations use structured solvers instead"
-        )
-    A = H.dense() - z * np.eye(H.dim)
-    try:
-        with np.errstate(all="ignore"):
-            R = sla.solve(A, np.eye(H.dim, dtype=complex))
-    except (sla.LinAlgError, ValueError) as exc:
-        raise NumericError(f"singular factorization in resolvent: {exc}") from exc
-    if not np.all(np.isfinite(R)):
-        raise NumericError("singular factorization in resolvent: non-finite entries")
-    if verify:
-        resid = float(np.max(np.abs(A @ R - np.eye(H.dim))))
-        if resid > 1e-10:
-            raise NumericError(f"resolvent residual {resid:.3e} exceeds 1e-10")
-    return Operator(H.basis, R)
 
 
 def _top_singular(D: spla.LinearOperator, v0, rel_tol: float, max_iter: int) -> float:
@@ -301,7 +279,7 @@ def ground_energy(H: Operator, seed: int = 0) -> float:
     abs_rows = np.asarray(abs(sym).sum(axis=1)).ravel()
     gersh = diag - (abs_rows - np.abs(diag))
     bounds = [float(np.min(gersh[idx])) for idx in components]
-    totals = np.repeat(H.basis.totals, H.basis.spin.dim)
+    totals = H.basis.lift(H.basis.totals)
     best = float(np.min(diag[singletons])) if len(singletons) else np.inf
     rng = np.random.default_rng(seed)
     for c in np.argsort(bounds, kind="stable"):
@@ -503,7 +481,7 @@ def convergence_study(
     defect = _hermiticity_defect(H_lim.matrix)
     if defect > 1e-12 * max(1.0, spec.lam):
         raise NumericError(f"renormalized operator hermiticity defect {defect:.3e}")
-    totals = np.repeat(basis.totals, basis.spin.dim)
+    totals = basis.lift(basis.totals)
     lim = H_lim.tocsr()
     g_lim = ground_energy(H_lim, seed=seed)
     report = ConvergenceReport(schedule=schedule)
@@ -616,13 +594,13 @@ def vanhove_demo(
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise StructuralError("schedule must be strictly increasing")
     basis = build_basis(grid, SpinSpace(1), n_max)
-    totals = basis.totals.astype(np.int64)
+    sel = basis.sector(restrict_m)
+    units = basis.unit_columns(sel)
+    totals = basis.lift(basis.totals)
     v_ff = FormFactor(grid, np.asarray(profile, dtype=complex))
-    sel = np.nonzero(totals <= restrict_m)[0]
-    energies = basis.energies
-    r_free_diag = 1.0 / (energies - STUDY_Z)
+    r_free = 1.0 / (basis.lift(basis.energies)[sel] - STUDY_Z)
     omega_vac = vacuum(basis)
-    par_diag = np.where(totals % 2 == 0, 1.0, -1.0)
+    par = parity(basis)
 
     report = VanHoveReport(schedule=schedule)
     for Lam in schedule:
@@ -630,22 +608,17 @@ def vanhove_demo(
         dress = FormFactor(grid, v_n.values[:, 0, 0] / grid.omegas)
         shift = bs_norm(v_n, 1.0) ** 2
         H_free = h_reg(basis, np.zeros((1, 1)), v_n)
-        H_shifted = Operator(
-            basis, (H_free.tocsr() + shift * sp.identity(basis.dim, format="csr")).tocsr()
-        )
-        apply_W, apply_W_adjoint = weyl_action(basis, dress)
-        solver = StructuredResolvent(H_shifted.tocsr(), STUDY_Z, totals)
-        units = np.zeros((basis.dim, len(sel)), dtype=complex)
-        units[sel, np.arange(len(sel))] = 1.0
-        # W acts column by column (a block expm_multiply is no faster at
-        # these sizes); the resolvent solves all columns at once
-        solved = solver.solve(np.column_stack([apply_W(e) for e in units.T]))
-        dressed = np.column_stack([apply_W_adjoint(x)[sel] for x in solved.T])
-        block = dressed - r_free_diag[sel, None] * units[sel]
+        H_shifted = (H_free.tocsr() + shift * sp.identity(basis.dim, format="csr")).tocsr()
+        apply_W, _ = weyl_action(basis, dress)
+        solver = StructuredResolvent(H_shifted, STUDY_Z, totals)
+        # Y = W[:, sel], so (W^* R W)[sel, sel] = Y^H R Y; W acts column by
+        # column (a block expm_multiply is no faster at these sizes)
+        Y = np.column_stack([apply_W(e) for e in units.T])
+        block = Y.conj().T @ solver.solve(Y) - np.diag(r_free)
         deviation = float(np.linalg.norm(block, ord=2))
 
-        psi = apply_W(omega_vac.astype(complex))
-        parity_exp = float(np.vdot(psi, par_diag * psi).real)
+        psi = apply_W(omega_vac)
+        parity_exp = float(np.vdot(psi, par @ psi).real)
         parity_oracle = float(np.exp(-2.0 * bs_norm(dress, 0.0) ** 2))
         g = ground_energy(H_free)
         g_oracle = -shift

@@ -276,6 +276,24 @@ def test_vanhove_explicit_grid_matches_direct_call(tmp_path):
         assert (row["verdict"], row["config_hash"]) == ("PASS", options["config_hash"])
 
 
+def test_vanhove_zero_coupling_fails_by_design(tmp_path):
+    # with v = 0 neither the parity nor the ground energy moves with the
+    # cutoff, so the study FAILs: exit 1, every row FAIL
+    modes = [{"omega": w, "mu": 1.0, "v": 0.0} for w in (0.6, 2.0, 5.0)]
+    cfg = {
+        "grid": {"family": "explicit", "kappa": 1.0, "modes": modes},
+        "spin": {"dim": 2, "S": "sigma_z", "B_le": "sigma_x", "B_D": "sigma_x"},
+        "fock": {"n_max": 4},
+        "ibc": {"lambda": 1.0, "s_n": 1.5},
+        "run": {"schedule": [1.0, 8.0], "seed": 0, "vanhove_n_max": 6, "vanhove_restrict_m": 2},
+    }
+    p = write_config(tmp_path, cfg)
+    assert main(["vanhove", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+    with open(tmp_path / "out" / "vanhove.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 and all(r["verdict"] == "FAIL" for r in rows)
+
+
 def test_spectrum_command(tmp_path):
     p = write_config(tmp_path, minimal_ex2())
     assert run_command("spectrum", p, tmp_path / "out") == 0
@@ -349,3 +367,22 @@ def test_arpack_failure_exits_numeric(tmp_path, monkeypatch, command):
         monkeypatch.setattr(_solvers, "DENSE_SOLVE_CAP", 8)
         p = CONFIGS / "ex1_dressing.json"
     assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("converge", "fock", "n_max", 6),  # the dense Weyl operator exceeds its cap
+        ("vanhove", "run", "vanhove_n_max", -1),
+        ("vanhove", "run", "vanhove_restrict_m", -1),
+    ],
+)
+def test_error_inside_command_exits_two(tmp_path, capsys, command, section, key, value):
+    if command == "converge":
+        cfg = json.loads((CONFIGS / "ex1_dressing.json").read_text())
+    else:
+        cfg = _vanhove_small_config()
+    cfg[section][key] = value
+    p = write_config(tmp_path, cfg)
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")

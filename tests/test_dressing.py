@@ -16,13 +16,12 @@ from sbfock import (
 )
 from sbfock import _solvers
 from sbfock.dressing import (
-    conjugate,
     displacement_generator,
     verify_weyl_continuity,
     verify_weyl_transforms,
     weyl,
 )
-from sbfock.fock import Operator, build_basis, dgamma, field, parity, sector_projector, vacuum
+from sbfock.fock import Operator, build_basis, parity, vacuum
 from sbfock.ibc import restricted_block
 
 
@@ -122,46 +121,6 @@ def test_weyl_strong_continuity_halving():
         if prev is not None:
             assert dev < prev
         prev = dev
-
-
-# ---------------------------------------------------------------- conjugate
-
-
-def test_conjugate_trivial_cases():
-    g, basis = one_mode_basis(8)
-    H = dgamma(basis, g.omegas)
-    eye = Operator(basis, np.eye(basis.dim, dtype=complex))
-    assert np.allclose(conjugate(H, eye).dense(), H.dense())
-    F = FormFactor(g, np.array([0.4]))
-    W = weyl(basis, F)
-    assert np.max(np.abs(conjugate(eye, W).dense() - np.eye(basis.dim))) <= 1e-12
-
-
-def test_conjugate_shape_mismatch():
-    from sbfock import StructuralError
-
-    g1, basis1 = one_mode_basis(4)
-    g2, basis2 = one_mode_basis(6)
-    H = dgamma(basis1, g1.omegas)
-    W = Operator(basis2, np.eye(basis2.dim, dtype=complex))
-    with pytest.raises(StructuralError):
-        conjugate(H, W)
-
-
-def test_conjugate_preserves_restricted_spectra():
-    g = grid_of([0.8, 1.6])
-    basis = build_basis(g, SpinSpace(1), 10)
-    F = FormFactor(g, np.array([0.2, 0.15]))
-    W = weyl(basis, F)
-    H = Operator(
-        basis,
-        dgamma(basis, g.omegas).dense() + 0.3 * field(basis, FormFactor(g, [0.1, 0.1])).dense(),
-    )
-    m = basis.n_max - 4
-    evals_H = np.linalg.eigvalsh(restricted_block(H, m))
-    transported = conjugate(conjugate(H, W), Operator(basis, W.dense().conj().T))
-    evals_T = np.linalg.eigvalsh(restricted_block(transported, m))
-    assert np.max(np.abs(evals_H - evals_T)) <= 1e-8
 
 
 # ----------------------------------------------------------- transformation

@@ -7,6 +7,7 @@ from sbfock import (
     FormFactor,
     ModeGrid,
     NumericError,
+    ParameterError,
     ResourceError,
     SIGMA_MINUS,
     SIGMA_X,
@@ -26,7 +27,7 @@ from sbfock.fock import (
     field,
     function_of_dgamma,
     parity,
-    sector_projector,
+    spin_operator,
     vacuum,
 )
 
@@ -221,17 +222,25 @@ def test_function_of_dgamma_nonfinite():
         function_of_dgamma(basis, lambda E: 1.0 / E)
 
 
-# --------------------------------------------------------- sector_projector
+# ------------------------------------------------------------- index layout
 
 
-def test_sector_projector():
-    basis = build_basis(grid_of([1.0, 2.0]), SpinSpace(1), 3)
-    assert np.allclose(sector_projector(basis, 3).dense(), np.eye(basis.dim))
-    P0 = sector_projector(basis, 0).dense()
-    assert np.linalg.matrix_rank(P0) == 1
-    P1 = sector_projector(basis, 1).dense()
-    assert np.array_equal(P1 @ P1, P1)
-    assert np.array_equal(P1, P1.conj().T)
+@pytest.mark.parametrize("spin_dim", [1, 2])
+def test_layout_helpers(spin_dim):
+    basis = build_basis(grid_of([1.0, 2.5]), SpinSpace(spin_dim), 3)
+    states = [basis.state(i) for i in range(basis.dim)]
+    totals = [int(occ.sum()) for occ, _ in states]
+    assert np.array_equal(basis.lift(basis.totals), totals)
+    energies = [occ @ basis.grid.omegas for occ, _ in states]
+    assert np.allclose(basis.lift(basis.energies), energies, rtol=0.0, atol=1e-14)
+    M = np.arange(spin_dim**2).reshape(spin_dim, spin_dim) + 1j
+    assert np.array_equal(spin_operator(basis, M).toarray(), np.kron(np.eye(basis.n_fock), M))
+    for m in range(basis.n_max + 2):
+        idx = basis.sector(m)
+        assert list(idx) == [i for i in range(basis.dim) if totals[i] <= m]
+        assert np.array_equal(basis.unit_columns(idx), np.eye(basis.dim)[:, idx])
+    with pytest.raises(ParameterError):
+        basis.sector(-1)
 
 
 # ------------------------------------------------------------ CCR identities
@@ -249,7 +258,7 @@ def commuting_pair(grid, rng, spin_dim):
 def test_ccr_field_commutator(spin_dim):
     rng = np.random.default_rng(10 + spin_dim)
     basis = build_basis(grid_of([0.8, 1.7, 2.5], mus=[0.5, 1.0, 2.0]), SpinSpace(spin_dim), 4)
-    P = sector_projector(basis, basis.n_max - 2).dense()
+    idx = basis.sector(basis.n_max - 2)
     for _ in range(3):
         F, G = commuting_pair(basis.grid, rng, spin_dim)
         phiF = field(basis, F).dense()
@@ -257,7 +266,7 @@ def test_ccr_field_commutator(spin_dim):
         comm = phiF @ phiG - phiG @ phiF
         scalar = bs_inner(F, G, 0.0) - bs_inner(G, F, 0.0)
         expected = np.kron(np.eye(basis.n_fock), scalar)
-        dev = P @ (comm - expected) @ P
+        dev = (comm - expected)[np.ix_(idx, idx)]
         assert np.max(np.abs(dev)) <= 1e-10
 
 
@@ -266,14 +275,14 @@ def test_ccr_with_dgamma(spin_dim):
     # [dGamma(omega), phi(F)] = a*(omega F) - a(omega F) on truncation-safe blocks
     rng = np.random.default_rng(20 + spin_dim)
     basis = build_basis(grid_of([0.8, 1.7, 2.5], mus=[0.5, 1.0, 2.0]), SpinSpace(spin_dim), 4)
-    P = sector_projector(basis, basis.n_max - 2).dense()
+    idx = basis.sector(basis.n_max - 2)
     dg = dgamma(basis, basis.grid.omegas).dense()
     for _ in range(3):
         F = random_ff(basis.grid, spin_dim, rng)
         phi = field(basis, F).dense()
         omegaF = FormFactor(basis.grid, basis.grid.omegas[:, None, None] * F.values)
         expected = create(basis, omegaF).dense() - annihilate(basis, omegaF).dense()
-        dev = P @ ((dg @ phi - phi @ dg) - expected) @ P
+        dev = ((dg @ phi - phi @ dg) - expected)[np.ix_(idx, idx)]
         assert np.max(np.abs(dev)) <= 1e-10
 
 

@@ -7,7 +7,6 @@ from sbfock import (
     FormFactor,
     ModeGrid,
     NumericError,
-    ResourceError,
     SIGMA_MINUS,
     SIGMA_X,
     SIGMA_Z,
@@ -29,7 +28,6 @@ from sbfock.renorm import (
     h_reg,
     h_renormalized,
     opnorm,
-    resolvent,
     vanhove_demo,
     verify_transformed_operator_identities,
 )
@@ -194,49 +192,6 @@ def test_assembled_hamiltonians_selfadjoint():
     for H in (h_reg(basis, spec.S, spec.coupling.total()), h_renormalized(basis, spec)):
         mat = H.dense()
         assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
-
-
-# ---------------------------------------------------------------- resolvent
-
-
-def test_resolvent_trivial_cases():
-    g = grid_of([1.0, 2.0])
-    basis = build_basis(g, SpinSpace(1), 3)
-    zero_op = Operator(basis, np.zeros((basis.dim, basis.dim), dtype=complex))
-    R = resolvent(zero_op, -1.0, verify=True)
-    assert np.allclose(R.dense(), np.eye(basis.dim))
-    dg = dgamma(basis, g.omegas)
-    R2 = resolvent(Operator(basis, dg.dense()), 1j, verify=True).dense()
-    expected = np.diag(1.0 / (np.repeat(basis.energies, 1) - 1j))
-    assert np.max(np.abs(R2 - expected)) <= 1e-13
-
-
-def test_resolvent_multiply_back_random():
-    rng = np.random.default_rng(4)
-    g = grid_of([1.0, 2.0])
-    basis = build_basis(g, SpinSpace(2), 3)
-    A = rng.standard_normal((basis.dim, basis.dim))
-    H = Operator(basis, (A + A.T) / 2 + 0j)
-    R = resolvent(H, 1j, verify=True)
-    resid = (H.dense() - 1j * np.eye(basis.dim)) @ R.dense() - np.eye(basis.dim)
-    assert np.max(np.abs(resid)) <= 1e-10
-
-
-def test_resolvent_singular_shift():
-    g = grid_of([1.0])
-    basis = build_basis(g, SpinSpace(1), 2)
-    H = Operator(basis, np.eye(basis.dim, dtype=complex))
-    with pytest.raises(NumericError):
-        resolvent(H, 1.0, verify=True)  # shift exactly on an eigenvalue
-
-
-def test_resolvent_dimension_cap():
-    g = grid_of(np.linspace(1, 2, 24))
-    basis = build_basis(g, SpinSpace(2), 3)
-    assert basis.dim > 4096
-    H = Operator(basis, sp.identity(basis.dim, format="csr", dtype=complex))
-    with pytest.raises(ResourceError):
-        resolvent(H, 1j)
 
 
 # ------------------------------------------------------------------- opnorm
