@@ -34,7 +34,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, NumericError, SbfockError
 from .fock import Operator, SpinSpace, build_basis, create, dgamma, field, spin_operator
-from .ibc import restricted_block, t_op, verify_ibc_bounds, xi
+from .ibc import IDENTITY_TOL, restricted_block, t_op, verify_ibc_bounds, xi
 from .dressing import verify_weyl_continuity, verify_weyl_transforms
 from .model import (
     SIGMA_MINUS,
@@ -135,16 +135,7 @@ _SCHEMA = {
     "spin": {"dim", "S", "B_le", "B_D", "B_N", "v_le", "v_d", "v_n"},
     "fock": {"n_max"},
     "ibc": {"lambda", "s_n"},
-    "run": {
-        "schedule",
-        "seed",
-        "tolerance_scale",
-        "opnorm_tol",
-        "opnorm_abs_tol",
-        "vanhove_n_max",
-        "vanhove_restrict_m",
-        "verify_samples",
-    },
+    "run": {"schedule", "seed", "vanhove_n_max", "vanhove_restrict_m"},
 }
 
 
@@ -216,7 +207,7 @@ def parse_config(path) -> tuple[HamiltonianSpec, list, dict]:
     """Read and validate a JSON run configuration.
 
     Returns the Hamiltonian description, the cutoff schedule, and a dict
-    of run options (seed, tolerances, van Hove basis parameters, the
+    of run options (seed, van Hove basis parameters, the
     grid's scalar profile and the config hash).
     """
     path = Path(path)
@@ -318,12 +309,8 @@ def parse_config(path) -> tuple[HamiltonianSpec, list, dict]:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     options = {
         "seed": _read(run, "seed", "run", int, 0),
-        "tolerance_scale": _read(run, "tolerance_scale", "run", default=1.0),
-        "opnorm_tol": _read(run, "opnorm_tol", "run", default=1e-6),
-        "opnorm_abs_tol": _read(run, "opnorm_abs_tol", "run", default=1e-7),
         "vanhove_n_max": _read(run, "vanhove_n_max", "run", int, 28),
         "vanhove_restrict_m": _read(run, "vanhove_restrict_m", "run", int, 4),
-        "verify_samples": _read(run, "verify_samples", "run", int, 100),
         "profile": profile,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest()[:12],
     }
@@ -392,7 +379,7 @@ def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
     suites = [check_structure(spec.coupling)]
 
     ccr = CheckSuite("fock_ccr")
-    tol_id = 1e-10 * scale
+    tol_id = IDENTITY_TOL * scale
     for trial in range(3):
         F, G = _commuting_test_pair(spec.grid, dim, rng)
         phiF = field(basis, F).tocsr()
@@ -445,7 +432,6 @@ def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
             spec.coupling.total(),
             lam,
             min(spec.coupling.s_n, 2.0),
-            n_samples=options["verify_samples"],
             seed=options["seed"],
         )
     )
@@ -454,9 +440,7 @@ def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
     m_weyl = max(spec.n_max - 6, 0)
     suites += [
         verify_weyl_transforms(basis, F, G, m=m_weyl),
-        verify_weyl_continuity(
-            basis, F, G, n_samples=options["verify_samples"], m=m_weyl, seed=options["seed"]
-        ),
+        verify_weyl_continuity(basis, F, G, m=m_weyl, seed=options["seed"]),
         verify_transformed_operator_identities(64, seed=options["seed"]),
     ]
     return suites
@@ -487,13 +471,7 @@ def _cmd_verify(spec, schedule, options):
 
 
 def _cmd_converge(spec, schedule, options):
-    report = convergence_study(
-        spec,
-        schedule,
-        opnorm_tol=options["opnorm_tol"],
-        opnorm_abs_tol=options["opnorm_abs_tol"],
-        seed=options["seed"],
-    )
+    report = convergence_study(spec, schedule, seed=options["seed"])
     for r in report.rows:
         print(
             f"Lambda={r.Lambda:g} E_trace={r.e_trace:.6g} distance={r.resolvent_distance:.6g} verdict={report.verdict}"
@@ -583,7 +561,7 @@ def _cmd_report(out: Path) -> int:
 
 
 def run_command(
-    cmd: str, config_path, out_dir, seed: int | None = None, tolerance_scale: float | None = None
+    cmd: str, config_path, out_dir, seed: int | None = None, tolerance_scale: float = 1.0
 ) -> int:
     """Dispatch one CLI command; returns the process exit code.
 
@@ -597,8 +575,7 @@ def run_command(
     spec, schedule, options = parse_config(config_path)
     if seed is not None:
         options["seed"] = seed
-    if tolerance_scale is not None:
-        options["tolerance_scale"] = tolerance_scale
+    options["tolerance_scale"] = tolerance_scale
     handlers = {
         "verify": _cmd_verify,
         "converge": _cmd_converge,
@@ -623,7 +600,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--tolerance-scale",
         type=float,
-        default=None,
+        default=1.0,
         help="scale factor applied to identity tolerances in `verify`",
     )
     args = parser.parse_args(argv)

@@ -220,7 +220,19 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def check_structure(D: CouplingDecomposition, tol: float = STRUCTURE_TOL) -> CheckSuite:
+def nilpotency_violation(F: np.ndarray) -> float:
+    """max |F_i F_j| over every pair of modes and every matrix entry, for a
+    (modes, dim, dim) stack of spin matrices; 0 iff F is 2-nilpotent."""
+    return _max_abs(np.einsum("iab,jbc->ijac", F, F))
+
+
+def commutator_violation(A: np.ndarray, B: np.ndarray) -> float:
+    """max |A_i B_j - B_j A_i| over every pair of modes and every matrix
+    entry, for two (modes, dim, dim) stacks of spin matrices."""
+    return _max_abs(np.einsum("iab,jbc->ijac", A, B) - np.einsum("jab,ibc->ijac", B, A))
+
+
+def check_structure(D: CouplingDecomposition) -> CheckSuite:
     """Verify the algebraic hypotheses on a coupling decomposition.
 
     Reports max-violation magnitudes for: support of the three parts
@@ -229,6 +241,7 @@ def check_structure(D: CouplingDecomposition, tol: float = STRUCTURE_TOL) -> Che
     between V_d and V_n, and the admissibility gate (declared s_n < 2 or
     b_2 norm of V_n below 1/2).
     """
+    tol = STRUCTURE_TOL
     suite = CheckSuite("structure")
     grid = D.grid
     low = grid.ir_mask()
@@ -247,18 +260,13 @@ def check_structure(D: CouplingDecomposition, tol: float = STRUCTURE_TOL) -> Che
     suite.add(CheckResult("normality", normality <= tol, normality, tol))
 
     vn = D.v_n.values
-    nilpotency = _max_abs(np.einsum("iab,jbc->ijac", vn, vn))
+    nilpotency = nilpotency_violation(vn)
     suite.add(CheckResult("nilpotency", nilpotency <= tol, nilpotency, tol))
 
-    cross = _max_abs(
-        np.einsum("iab,jbc->ijac", vd, vn) - np.einsum("jab,ibc->ijac", vn, vd)
-    )
+    cross = commutator_violation(vd, vn)
     suite.add(CheckResult("cross_commutation", cross <= tol, cross, tol))
 
-    vd_adj = vd.conj().transpose(0, 2, 1)
-    cross_adj = _max_abs(
-        np.einsum("iab,jbc->ijac", vd_adj, vn) - np.einsum("jab,ibc->ijac", vn, vd_adj)
-    )
+    cross_adj = commutator_violation(vd.conj().transpose(0, 2, 1), vn)
     suite.add(CheckResult("adjoint_cross_commutation", cross_adj <= tol, cross_adj, tol))
 
     b2 = bs_norm(D.v_n, 2.0)

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import astuple
 from pathlib import Path
 
@@ -151,6 +154,18 @@ def test_malformed_config_value_exits_config_error(tmp_path, capsys, section, ke
     assert main(["verify", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f" at {section}" in err, err
+
+
+@pytest.mark.parametrize(
+    "key", ["opnorm_tol", "opnorm_abs_tol", "verify_samples", "tolerance_scale"]
+)
+def test_removed_run_key_exits_config_error(tmp_path, capsys, key):
+    cfg = json.loads((CONFIGS / "ex2_default.json").read_text())
+    cfg["run"][key] = 1.0
+    p = write_config(tmp_path, cfg)
+    assert main(["verify", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown key(s)") and err.rstrip().endswith(" at run"), err
 
 
 # ------------------------------------------------------------------ commands
@@ -386,3 +401,24 @@ def test_error_inside_command_exits_two(tmp_path, capsys, command, section, key,
     p = write_config(tmp_path, cfg)
     assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_benchmark_tracer_binds_verify_spans(tmp_path):
+    # the benchmark's tracer wraps sbfock functions by name; a rename must
+    # fail here rather than only in a traced benchmark run
+    spans = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    cmd = [
+        sys.executable,
+        "perfbench/tracer.py",
+        str(spans),
+        "verify",
+        "--config",
+        "configs/ex2_default.json",
+        "--out",
+        str(tmp_path / "out"),
+    ]
+    proc = subprocess.run(cmd, cwd=REPO, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    names = set(json.loads(spans.read_text())["names"])
+    assert {"ibc.verify_ibc_bounds", "ibc.theta1", "dressing.verify_weyl"} <= names, names

@@ -18,6 +18,7 @@ from sbfock import (
     uv_truncate,
     zero_form_factor,
 )
+from sbfock.reports import INEQUALITY_SLACK, bound_check
 
 I2 = np.eye(2)
 
@@ -327,3 +328,29 @@ def test_power_law_grid_supercritical_log_divergence():
         discrete = bs_norm(uv_truncate(F, Lam * (1 + 1e-12)), 0.0) ** 2
         exact = np.log(2 * Lam)
         assert abs(discrete - exact) <= 0.05 * exact
+
+
+# ------------------------------------------------------------- bound_check
+
+
+def test_bound_check_zero_rhs():
+    ok = bound_check("b", 0.0, 0.0)
+    assert ok.passed and ok.max_violation == 0.0
+    bad = bound_check("b", [0.5, 1e-200], [1.0, 0.0])
+    assert not bad.passed and bad.max_violation == np.inf
+
+
+def test_bound_check_scalar_array_and_empty_agree():
+    for lhs, rhs in ((0.5, 1.0), (2.0, 1.0), (0.0, 0.0), (1e-200, 0.0)):
+        scalar = bound_check("b", lhs, rhs)
+        array = bound_check("b", np.array([lhs, 0.0]), np.array([rhs, 1.0]))
+        assert (scalar.passed, scalar.max_violation) == (array.passed, array.max_violation)
+    empty = bound_check("b", np.array([]), np.array([]))
+    assert empty.passed and empty.max_violation == 0.0
+
+
+def test_bound_check_slack_edge():
+    edge = 1.0 + INEQUALITY_SLACK
+    assert bound_check("b", [0.5, edge], [1.0, 1.0]).passed
+    above = bound_check("b", [0.5, np.nextafter(edge, np.inf)], [1.0, 1.0])
+    assert not above.passed and above.max_violation > INEQUALITY_SLACK

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +9,7 @@ from sbfock import (
     FormFactor,
     ModeGrid,
     NumericError,
+    ParameterError,
     SIGMA_MINUS,
     SIGMA_X,
     SIGMA_Z,
@@ -17,7 +20,7 @@ from sbfock import (
     separable,
     zero_form_factor,
 )
-from sbfock.fock import Operator, annihilate, build_basis, create, dgamma, field
+from sbfock.fock import DEFAULT_STATE_CAP, Operator, annihilate, build_basis, create, dgamma, field
 from sbfock.ibc import restricted_block, restricted_deviation
 import sbfock.renorm as renorm
 from sbfock.renorm import (
@@ -666,6 +669,15 @@ def test_vanhove_single_mode_parity_value():
     rep = vanhove_demo(g, np.array([1.0]), [2.0], n_max=16, restrict_m=2)
     assert rep.rows[0].parity_expectation == pytest.approx(np.exp(-2.0), abs=1e-6)
     assert rep.rows[0].conjugation_deviation <= 1e-7
+
+
+def test_vanhove_rejects_negative_sector_before_building_basis():
+    # four modes at n_max 100 give C(104, 4) = 4,598,126 states, over the
+    # cap, so only a check made before build_basis names the sector bound
+    g = grid_of([0.7, 1.4, 2.8, 5.6], kappa=0.5)
+    assert math.comb(104, 4) > DEFAULT_STATE_CAP
+    with pytest.raises(ParameterError, match="sector bound"):
+        vanhove_demo(g, np.ones(4), [2.0], n_max=100, restrict_m=-1)
 
 
 @pytest.mark.slow
