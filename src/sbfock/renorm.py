@@ -54,6 +54,8 @@ HERMITICITY_TOL = 1e-10
 # Fixed settings of the two studies
 STUDY_Z = 1j  # spectral parameter of every resolvent
 NONINCREASING_JITTER = 0.10  # convergence: allowed relative rise between distances
+OPNORM_TOL = 1e-6  # convergence: relative Lanczos accuracy of the squared top singular value
+OPNORM_ABS_TOL = 1e-7  # convergence: absolute floor below which a rise counts as a tie
 CONJUGATION_TOL = 1e-7  # van Hove: largest resolvent deviation
 PARITY_FINAL_FRACTION = 0.05  # van Hove: last parity below this share of the first
 ENERGY_DROP = 2.0  # van Hove: least fall of the ground energy over the schedule
@@ -430,8 +432,6 @@ def _block_bounds(H_lim, H_L, z: complex, components, defect_lim: float, defect_
 def convergence_study(
     spec: HamiltonianSpec,
     schedule,
-    opnorm_tol: float = 1e-6,
-    opnorm_abs_tol: float = 1e-7,
     opnorm_max_iter: int = 500,
     seed: int = 0,
     decay_threshold: float = 0.10,
@@ -443,7 +443,7 @@ def convergence_study(
     counterterm added, and D_Lambda = || (H_Lambda - z)^{-1} - (H_lim - z)^{-1} ||
     recorded at z = ``STUDY_Z``.  Verdict: PASS iff each distance is at
     most (1 + ``NONINCREASING_JITTER``) times the one before plus
-    ``opnorm_abs_tol``, and the last distance is below
+    ``OPNORM_ABS_TOL``, and the last distance is below
     ``decay_threshold`` times the first (or the first is 0).
 
     D = (H_Lambda - z)^{-1} - (H_lim - z)^{-1} = R_Lambda (H_lim - H_Lambda) R_lim
@@ -466,12 +466,10 @@ def convergence_study(
 
     s is exact up to rounding and a pruned block cannot change the
     maximum, so only sigma_max(D_U) carries an iteration error:
-    ``opnorm_tol`` is the relative accuracy requested of its square,
-    so it is accurate to about ``opnorm_tol / 2`` relative;
+    ``OPNORM_TOL`` is the relative accuracy requested of its square,
+    so it is accurate to about ``OPNORM_TOL / 2`` relative;
     ``opnorm_max_iter`` caps ARPACK's implicit restarts, beyond which
     ``NumericError`` is raised; an exactly zero D gives D_Lambda = 0.0.
-    ``opnorm_abs_tol`` is the absolute floor below which an increase
-    between successive distances counts as a tie in the nonincreasing check.
     """
     schedule = [float(L) for L in schedule]
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -511,7 +509,7 @@ def convergence_study(
                 rmatvec=lambda x: R_L.adjoint_solve(x) - R_lim.adjoint_solve(x),
                 dtype=complex,
             )
-            dist = max(dist, _top_singular(D, probe[U], opnorm_tol, opnorm_max_iter))
+            dist = max(dist, _top_singular(D, probe[U], OPNORM_TOL, opnorm_max_iter))
         g_reg = ground_energy(H_L, seed=seed)
         report.rows.append(
             ConvergenceRow(
@@ -523,9 +521,8 @@ def convergence_study(
             )
         )
     dists = [r.resolvent_distance for r in report.rows]
-    # absolute floor: distances below the opnorm resolution count as ties
     report.nonincreasing_ok = all(
-        b <= a * (1.0 + NONINCREASING_JITTER) + opnorm_abs_tol for a, b in zip(dists, dists[1:])
+        b <= a * (1.0 + NONINCREASING_JITTER) + OPNORM_ABS_TOL for a, b in zip(dists, dists[1:])
     )
     report.decay_ok = dists[-1] < decay_threshold * dists[0] if dists[0] > 0 else True
     return report

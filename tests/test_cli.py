@@ -142,6 +142,10 @@ def test_parse_config_explicit_grid(tmp_path):
         ("grid", None, {"family": "explicit", "kappa": 1.0, "modes": [5]}),
         ("grid", "n_modes", 1),
         ("grid", None, {"family": "explicit", "kappa": 1.0, "modes": [{"omega": -1.0}]}),
+        ("run", "opnorm_tol", 1.0),
+        ("run", "opnorm_abs_tol", 1.0),
+        ("run", "verify_samples", 1.0),
+        ("run", "tolerance_scale", 1.0),
     ],
 )
 def test_malformed_config_value_exits_config_error(tmp_path, capsys, section, key, value):
@@ -154,18 +158,6 @@ def test_malformed_config_value_exits_config_error(tmp_path, capsys, section, ke
     assert main(["verify", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f" at {section}" in err, err
-
-
-@pytest.mark.parametrize(
-    "key", ["opnorm_tol", "opnorm_abs_tol", "verify_samples", "tolerance_scale"]
-)
-def test_removed_run_key_exits_config_error(tmp_path, capsys, key):
-    cfg = json.loads((CONFIGS / "ex2_default.json").read_text())
-    cfg["run"][key] = 1.0
-    p = write_config(tmp_path, cfg)
-    assert main(["verify", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: unknown key(s)") and err.rstrip().endswith(" at run"), err
 
 
 # ------------------------------------------------------------------ commands
