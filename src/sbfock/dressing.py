@@ -3,7 +3,8 @@
 W(F) = exp(a(F) - a*(F)) is computed one way: ``weyl_action`` applies it,
 or its adjoint, to a vector or a block of columns with the matrix-free
 ``expm_multiply`` (Al-Mohy & Higham 2011), without forming W.  ``weyl``
-is that action on the identity, for callers that need the whole matrix.
+is that action on the identity, a dense ndarray for callers that need
+the whole matrix.
 The generator is assembled on the truncated basis and is exactly
 skew-adjoint there, so W is unitary to machine precision; what
 truncation costs is accuracy of individual matrix elements near the top
@@ -20,19 +21,19 @@ import scipy.sparse.linalg as spla
 
 from . import _solvers
 from .errors import NumericError, ResourceError
-from .fock import OccupationBasis, Operator, annihilate, dgamma, field, spin_operator
+from .fock import OccupationBasis, annihilate, dgamma, field, spin_operator
 from .model import STRUCTURE_TOL, FormFactor, bs_inner, bs_norm, commutator_violation
 from .reports import INEQUALITY_SLACK, CheckResult, CheckSuite, bound_check
 
 
 def displacement_generator(basis: OccupationBasis, F: FormFactor) -> sp.csr_matrix:
     """Skew-adjoint generator a(F) - a*(F) of the Weyl operator."""
-    a = annihilate(basis, F).tocsr()
-    return (a - a.conj().T).tocsr()
+    a = annihilate(basis, F)
+    return a - a.conj().T
 
 
-def weyl(basis: OccupationBasis, F: FormFactor) -> Operator:
-    """Weyl operator exp(a(F) - a*(F)) as a dense matrix: ``weyl_action``
+def weyl(basis: OccupationBasis, F: FormFactor) -> np.ndarray:
+    """Weyl operator exp(a(F) - a*(F)) as a dense ndarray: ``weyl_action``
     applied to the identity.
 
     This is exp(i phi(iF)) expanded with the antilinearity of a(.) in its
@@ -46,7 +47,7 @@ def weyl(basis: OccupationBasis, F: FormFactor) -> Operator:
     W = apply_W(np.eye(basis.dim, dtype=complex))
     if not np.all(np.isfinite(W)):
         raise NumericError("Weyl exponential produced non-finite entries")
-    return Operator(basis, W)
+    return W
 
 
 def weyl_action(basis: OccupationBasis, F: FormFactor):
@@ -101,15 +102,15 @@ def verify_weyl_transforms(
         lhs = Y.conj().T @ (X @ Y)
         return float(np.max(np.abs(lhs - expected[idx][:, idx].toarray())))
 
-    phiG = field(basis, G).tocsr()
+    phiG = field(basis, G)
     shift = bs_inner(F, G, 0.0) + bs_inner(G, F, 0.0)
     dev = block_deviation(phiG, phiG + spin_operator(basis, shift))
     suite.add(CheckResult("field_transform", dev <= tol, dev, tol))
 
-    dg = dgamma(basis, basis.grid.omegas).tocsr()
+    dg = dgamma(basis, basis.grid.omegas)
     omegaF = FormFactor(basis.grid, basis.grid.omegas[:, None, None] * F.values)
     shift2 = spin_operator(basis, bs_inner(F, F, -1.0))
-    dev2 = block_deviation(dg, dg + field(basis, omegaF).tocsr() + shift2)
+    dev2 = block_deviation(dg, dg + field(basis, omegaF) + shift2)
     suite.add(CheckResult("number_transform", dev2 <= tol, dev2, tol))
     return suite
 
@@ -152,7 +153,7 @@ def verify_weyl_continuity(
     diff_W = apply_WF(units) - apply_WG(units)
     diff_ff = FormFactor(basis.grid, F.values - G.values)
     gen_ff = FormFactor(basis.grid, 1j * (F.values - G.values))
-    phi_diff = field(basis, gen_ff).tocsr()[:, idx]
+    phi_diff = field(basis, gen_ff)[:, idx]
     pairing = bs_inner(F, gen_ff, 0.0) + bs_inner(gen_ff, F, 0.0)
     pairing_cols = spin_operator(basis, pairing)[:, idx]
 

@@ -9,6 +9,9 @@ quadrature weights enter through sqrt(mu_i) prefactors of the smeared
 operators.  Only this module knows the index layout; the others go
 through ``OccupationBasis.lift``, ``sector`` and ``unit_columns``,
 ``spin_operator`` and ``block_diag_operator``.
+
+Operator builders return ``scipy.sparse`` CSR matrices; ``Operator`` (a
+matrix with its basis) is the type of the Hamiltonians in ``renorm``.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ class OccupationBasis:
 
 @dataclass
 class Operator:
-    """Matrix on the truncated space, dense or sparse, with its basis."""
+    """A Hamiltonian: its matrix, dense or sparse, with the basis it is written in."""
 
     basis: OccupationBasis
     matrix: object  # ndarray or scipy sparse
@@ -145,10 +148,6 @@ class Operator:
                 f"matrix shape {self.matrix.shape} does not match basis dim {self.basis.dim}"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
     def dense(self) -> np.ndarray:
         m = self.matrix
         return m.toarray() if sp.issparse(m) else np.asarray(m)
@@ -156,31 +155,6 @@ class Operator:
     def tocsr(self) -> sp.csr_matrix:
         m = self.matrix
         return m.tocsr() if sp.issparse(m) else sp.csr_matrix(m)
-
-    @property
-    def H(self) -> "Operator":
-        m = self.matrix
-        return Operator(self.basis, m.conj().T.tocsr() if sp.issparse(m) else m.conj().T)
-
-    def __add__(self, other):
-        if isinstance(other, Operator):
-            return Operator(self.basis, self.matrix + other.matrix)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, Operator):
-            return Operator(self.basis, self.matrix - other.matrix)
-        return NotImplemented
-
-    def __mul__(self, scalar):
-        return Operator(self.basis, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        if isinstance(other, Operator):
-            return Operator(self.basis, self.matrix @ other.matrix)
-        return self.matrix @ other
 
 
 def build_basis(
@@ -218,9 +192,9 @@ def spin_operator(basis: OccupationBasis, M, fock=None) -> sp.csr_matrix:
     return sp.kron(fock, M, format="csr")
 
 
-def _diag_operator(basis: OccupationBasis, fock_values: np.ndarray) -> Operator:
+def _diag_operator(basis: OccupationBasis, fock_values: np.ndarray) -> sp.csr_matrix:
     vals = basis.lift(np.asarray(fock_values, dtype=complex))
-    return Operator(basis, sp.diags(vals, format="csr"))
+    return sp.diags(vals, format="csr")
 
 
 def _spin_blocks(basis: OccupationBasis, fock_rows, fock_cols, blocks) -> sp.csr_matrix:
@@ -235,13 +209,13 @@ def _spin_blocks(basis: OccupationBasis, fock_rows, fock_cols, blocks) -> sp.csr
     return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(basis.dim, basis.dim))
 
 
-def block_diag_operator(basis: OccupationBasis, blocks: np.ndarray) -> Operator:
+def block_diag_operator(basis: OccupationBasis, blocks: np.ndarray) -> sp.csr_matrix:
     """Sparse operator that acts as blocks[s] on the spin factor of Fock state s."""
     states = np.arange(basis.n_fock)
-    return Operator(basis, _spin_blocks(basis, states, states, blocks))
+    return _spin_blocks(basis, states, states, blocks)
 
 
-def dgamma(basis: OccupationBasis, weights) -> Operator:
+def dgamma(basis: OccupationBasis, weights) -> sp.csr_matrix:
     """Diagonal second quantization of per-mode weights: eigenvalue
     sum_i n_i w_i on occupation (n_1, ..., n_M).  Weights equal to the
     grid dispersion give the free field energy; all ones give the number
@@ -252,12 +226,12 @@ def dgamma(basis: OccupationBasis, weights) -> Operator:
     return _diag_operator(basis, basis.occupations.astype(float) @ weights)
 
 
-def parity(basis: OccupationBasis) -> Operator:
+def parity(basis: OccupationBasis) -> sp.csr_matrix:
     """Diagonal involution with sign (-1)^(total boson number)."""
     return _diag_operator(basis, np.where(basis.totals % 2 == 0, 1.0, -1.0))
 
 
-def function_of_dgamma(basis: OccupationBasis, g) -> Operator:
+def function_of_dgamma(basis: OccupationBasis, g) -> sp.csr_matrix:
     """Diagonal operator g(dGamma(omega)) evaluated on the occupation energies."""
     with np.errstate(all="ignore"):
         vals = np.asarray([g(E) for E in basis.energies], dtype=complex)
@@ -266,7 +240,7 @@ def function_of_dgamma(basis: OccupationBasis, g) -> Operator:
     return _diag_operator(basis, vals)
 
 
-def annihilate(basis: OccupationBasis, F: FormFactor) -> Operator:
+def annihilate(basis: OccupationBasis, F: FormFactor) -> sp.csr_matrix:
     """Smeared annihilation operator a(F) = sum_i sqrt(mu_i) F_i^* (x) a_i.
 
     Antilinear in F; maps the total-n sector to total-(n-1).  The
@@ -276,23 +250,23 @@ def annihilate(basis: OccupationBasis, F: FormFactor) -> Operator:
     _check_grid(basis, F)
     rows, modes, child, amps = basis.lowering_table()
     if len(rows) == 0 or F.is_zero():
-        return Operator(basis, sp.csr_matrix((basis.dim, basis.dim), dtype=complex))
+        return sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
     fstar = F.values.conj().transpose(0, 2, 1)  # (M, d, d)
     blocks = fstar[modes]  # (pairs, d, d)
     weights = (np.sqrt(basis.grid.mus)[modes] * amps)[:, None, None] * blocks
-    return Operator(basis, _spin_blocks(basis, child, rows, weights))
+    return _spin_blocks(basis, child, rows, weights)
 
 
-def create(basis: OccupationBasis, F: FormFactor) -> Operator:
+def create(basis: OccupationBasis, F: FormFactor) -> sp.csr_matrix:
     """Smeared creation operator: adjoint of a(F), projected back onto the
     truncated basis (matrix elements that would exceed n_max are dropped)."""
-    return annihilate(basis, F).H
+    return annihilate(basis, F).conj().T.tocsr()
 
 
-def field(basis: OccupationBasis, F: FormFactor) -> Operator:
+def field(basis: OccupationBasis, F: FormFactor) -> sp.csr_matrix:
     """Self-adjoint field operator a(F) + a^*(F)."""
     a = annihilate(basis, F)
-    return Operator(basis, (a.matrix + a.matrix.conj().T).tocsr())
+    return a + a.conj().T
 
 
 def vacuum(basis: OccupationBasis, spin_index: int = 0) -> np.ndarray:

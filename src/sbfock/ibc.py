@@ -25,7 +25,6 @@ import scipy.sparse as sp
 from .errors import ParameterError, StructuralError, NumericError
 from .fock import (
     OccupationBasis,
-    Operator,
     annihilate,
     block_diag_operator,
     create,
@@ -45,7 +44,7 @@ def _require_positive(lam: float):
         raise ParameterError("lambda must be positive")
 
 
-def theta0(basis: OccupationBasis, F: FormFactor, lam: float) -> Operator:
+def theta0(basis: OccupationBasis, F: FormFactor, lam: float) -> sp.csr_matrix:
     """Number-diagonal part: sum_i mu_i F_i^* [(dGamma+omega_i+lambda)^{-1} - omega_i^{-1}] F_i."""
     _require_positive(lam)
     omegas = basis.grid.omegas
@@ -55,7 +54,7 @@ def theta0(basis: OccupationBasis, F: FormFactor, lam: float) -> Operator:
     return block_diag_operator(basis, blocks)
 
 
-def theta1(basis: OccupationBasis, F: FormFactor, lam: float) -> Operator:
+def theta1(basis: OccupationBasis, F: FormFactor, lam: float) -> sp.csr_matrix:
     """One-annihilation/one-creation normal-ordered block
 
         sum_{q,r} sqrt(mu_q mu_r) a*_q F_r^* (dGamma+omega_r+omega_q+lambda)^{-1} F_q a_r
@@ -67,9 +66,7 @@ def theta1(basis: OccupationBasis, F: FormFactor, lam: float) -> Operator:
     number.
     """
     _require_positive(lam)
-    if F.is_zero():
-        return Operator(basis, sp.csr_matrix((basis.dim, basis.dim), dtype=complex))
-    ad_full = create(basis, F).tocsr()
+    ad_full = create(basis, F)
     omegas = basis.grid.omegas
     mus = basis.grid.mus
     eye_spin = sp.identity(basis.spin.dim, format="csr", dtype=complex)
@@ -91,30 +88,30 @@ def theta1(basis: OccupationBasis, F: FormFactor, lam: float) -> Operator:
         cols_acc.append(term.col)
         data_acc.append(term.data)
     if not rows_acc:
-        return Operator(basis, sp.csr_matrix((basis.dim, basis.dim), dtype=complex))
+        return sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
     mat = sp.csr_matrix(
         (np.concatenate(data_acc), (np.concatenate(rows_acc), np.concatenate(cols_acc))),
         shape=(basis.dim, basis.dim),
     )
     mat.sum_duplicates()
-    return Operator(basis, mat)
+    return mat
 
 
-def t_op(basis: OccupationBasis, F: FormFactor, lam: float) -> Operator:
+def t_op(basis: OccupationBasis, F: FormFactor, lam: float) -> sp.csr_matrix:
     """T_{F,lambda} = theta0 + theta1; self-adjoint below the truncation edge."""
     return theta0(basis, F, lam) + theta1(basis, F, lam)
 
 
-def g_op(basis: OccupationBasis, F: FormFactor, lam: float) -> Operator:
+def g_op(basis: OccupationBasis, F: FormFactor, lam: float) -> sp.csr_matrix:
     """Bounded boundary factor a(F) (dGamma(omega) + lambda)^{-1}."""
     _require_positive(lam)
     resolvent = function_of_dgamma(basis, lambda E: 1.0 / (E + lam))
-    return Operator(basis, (annihilate(basis, F).tocsr() @ resolvent.tocsr()).tocsr())
+    return annihilate(basis, F) @ resolvent
 
 
 def nilpotent_inverse(
     basis: OccupationBasis, F: FormFactor, lam: float
-) -> tuple[Operator, Operator]:
+) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Exact inverses (1 - G, 1 - G*) of (1 + G_{F,lambda}) and its adjoint,
     valid because G^2 = 0 for 2-nilpotent F.  Raises if F is not
     2-nilpotent (beyond ``model.STRUCTURE_TOL``) or if the inverse check
@@ -124,32 +121,32 @@ def nilpotent_inverse(
         raise StructuralError(
             f"form factor is not 2-nilpotent (max pairwise product {violation:.3e})"
         )
-    G = g_op(basis, F, lam).tocsr()
-    G2 = (G @ G).tocsr()
+    G = g_op(basis, F, lam)
+    G2 = G @ G
     G2.eliminate_zeros()
     if G2.nnz:
         raise StructuralError("G^2 has nonzero entries; nilpotency broken at matrix level")
     eye = sp.identity(basis.dim, format="csr", dtype=complex)
-    left = Operator(basis, (eye - G).tocsr())
-    check = ((eye + G) @ left.matrix).tocsr() - eye
+    left = eye - G
+    check = (eye + G) @ left - eye
     resid = np.max(np.abs(check.data)) if check.nnz else 0.0
     if resid > 1e-13:
         raise NumericError(f"(1+G)(1-G) deviates from identity by {resid:.3e}")
-    return left, Operator(basis, (eye - G.conj().T).tocsr())
+    return left, eye - G.conj().T
 
 
-def xi(basis: OccupationBasis, F: FormFactor, V: FormFactor, lam: float) -> Operator:
-    """Sandwiched generator (1 + G_F)(dGamma(omega) + lambda - T_V)(1 + G_F*)."""
-    _require_positive(lam)
-    G = g_op(basis, F, lam).tocsr()
+def _sandwich(
+    basis: OccupationBasis, G: sp.csr_matrix, T: sp.csr_matrix, lam: float
+) -> sp.csr_matrix:
+    """(1 + G)(dGamma(omega) + lambda - T)(1 + G*) for G = G_F and T = T_V."""
     eye = sp.identity(basis.dim, format="csr", dtype=complex)
-    core = (
-        dgamma(basis, basis.grid.omegas).tocsr()
-        + lam * eye
-        - t_op(basis, V, lam).tocsr()
-    )
-    mat = ((eye + G) @ core @ (eye + G.conj().T)).tocsr()
-    return Operator(basis, mat)
+    core = dgamma(basis, basis.grid.omegas) + lam * eye - T
+    return (eye + G) @ core @ (eye + G.conj().T)
+
+
+def xi(basis: OccupationBasis, F: FormFactor, V: FormFactor, lam: float) -> sp.csr_matrix:
+    """Sandwiched generator (1 + G_F)(dGamma(omega) + lambda - T_V)(1 + G_F*)."""
+    return _sandwich(basis, g_op(basis, F, lam), t_op(basis, V, lam), lam)
 
 
 # ------------------------------------------------------------------ bounds
@@ -193,8 +190,8 @@ def verify_ibc_bounds(
 
     theta_V = []
     for ell, builder in ((0, theta0), (1, theta1)):
-        th_F = builder(basis, F, lam).tocsr()
-        th_V = builder(basis, V, lam).tocsr()
+        th_F = builder(basis, F, lam)
+        th_V = builder(basis, V, lam)
         theta_V.append(th_V)
         # difference bound, then the single-factor specialization
         suite.add(
@@ -212,7 +209,7 @@ def verify_ibc_bounds(
     g_norm = opnorm(G)
     suite.add(bound_check("g_norm_bound", g_norm, norm_F * lam ** ((s - 2.0) / 2.0)))
 
-    Gstar_psis = G.tocsr().conj().T @ psis
+    Gstar_psis = G.conj().T @ psis
     for r in (0.0, 1.0 - s / 2.0):
         wr = (energies + lam)[:, None] ** r
         suite.add(
@@ -233,10 +230,10 @@ def verify_ibc_bounds(
             suite.add(CheckResult(name, True, 0.0, INEQUALITY_SLACK, skipped=True))
         return suite
 
-    xi_op = xi(basis, F, V, lam).tocsr()
     T_V = theta_V[0] + theta_V[1]
+    xi_op = _sandwich(basis, G, T_V, lam)
     res = 1.0 / (energies + lam)
-    t_rel_norm = opnorm(Operator(basis, (T_V.multiply(res[None, :])).tocsr()))
+    t_rel_norm = opnorm(T_V.multiply(res[None, :]).tocsr())
     omega_low = np.where(basis.grid.omegas <= basis.grid.kappa, basis.grid.omegas, 0.0)
     dg_low = basis.lift(basis.occupations.astype(float) @ omega_low)
     proj = basis.lift((basis.totals <= max(basis.n_max - 2, 0)).astype(float))
@@ -265,15 +262,16 @@ def verify_ibc_bounds(
     return suite
 
 
-def restricted_block(op: Operator, m: int) -> np.ndarray:
-    """Dense submatrix of the operator on the total-boson-number <= m sector."""
-    idx = op.basis.sector(m)
-    mat = op.matrix
-    if sp.issparse(mat):
-        return mat.tocsr()[np.ix_(idx, idx)].toarray()
-    return np.asarray(mat)[np.ix_(idx, idx)]
+def restricted_block(basis: OccupationBasis, X, m: int) -> np.ndarray:
+    """Dense submatrix of the matrix ``X`` (dense or sparse, on the index
+    of ``basis``) on the total-boson-number <= m sector."""
+    idx = basis.sector(m)
+    if sp.issparse(X):
+        return X.tocsr()[np.ix_(idx, idx)].toarray()
+    return np.asarray(X)[np.ix_(idx, idx)]
 
 
-def restricted_deviation(A: Operator, B: Operator, m: int) -> float:
-    """Max-entry deviation of two operators on the total-number <= m block."""
-    return float(np.max(np.abs(restricted_block(A, m) - restricted_block(B, m))))
+def restricted_deviation(basis: OccupationBasis, A, B, m: int) -> float:
+    """Max-entry deviation of two matrices (dense or sparse, on the index
+    of ``basis``) on the total-number <= m block."""
+    return float(np.max(np.abs(restricted_block(basis, A, m) - restricted_block(basis, B, m))))

@@ -99,12 +99,8 @@ def h_reg(basis: OccupationBasis, S: np.ndarray, V: FormFactor) -> Operator:
     S = np.atleast_2d(np.asarray(S, dtype=complex))
     if S.shape != (basis.spin.dim, basis.spin.dim):
         raise StructuralError("S shape does not match basis spin dimension")
-    mat = (
-        spin_operator(basis, S)
-        + dgamma(basis, basis.grid.omegas).tocsr()
-        + field(basis, V).tocsr()
-    )
-    return Operator(basis, mat.tocsr())
+    mat = spin_operator(basis, S) + dgamma(basis, basis.grid.omegas) + field(basis, V)
+    return Operator(basis, mat)
 
 
 def h_cutoff(basis: OccupationBasis, spec: HamiltonianSpec, Lam: float):
@@ -115,8 +111,8 @@ def h_cutoff(basis: OccupationBasis, spec: HamiltonianSpec, Lam: float):
     """
     V_L = uv_truncate(spec.coupling.total(), Lam)
     E_L = renorm_energy(V_L)
-    H_L = h_reg(basis, spec.S, V_L).tocsr() + spin_operator(basis, E_L)
-    return Operator(basis, H_L.tocsr()), E_L
+    H_L = h_reg(basis, spec.S, V_L).matrix + spin_operator(basis, E_L)
+    return Operator(basis, H_L), E_L
 
 
 def h_renormalized(basis: OccupationBasis, spec: HamiltonianSpec) -> Operator:
@@ -139,17 +135,17 @@ def h_renormalized(basis: OccupationBasis, spec: HamiltonianSpec) -> Operator:
             )
         raise StructuralError(f"coupling structure check failed: {r.name}")
     lam = spec.lam
-    core = xi(basis, spec.coupling.v_n, spec.coupling.v_n, lam).tocsr()
-    core = (core + field(basis, spec.coupling.v_le).tocsr()).tocsr()
+    core = xi(basis, spec.coupling.v_n, spec.coupling.v_n, lam)
+    core = core + field(basis, spec.coupling.v_le)
     if spec.coupling.v_d.is_zero():
         mat = spin_operator(basis, spec.S) + core - lam * sp.identity(
             basis.dim, format="csr", dtype=complex
         )
-        return Operator(basis, mat.tocsr())
+        return Operator(basis, mat)
     dress = FormFactor(
         basis.grid, spec.coupling.v_d.values / basis.grid.omegas[:, None, None]
     )
-    W = weyl(basis, dress).matrix
+    W = weyl(basis, dress)
     dressed = W @ core.toarray() @ W.conj().T
     mat = spin_operator(basis, spec.S).toarray() + dressed - lam * np.eye(basis.dim)
     return Operator(basis, mat)
@@ -207,8 +203,8 @@ def _top_singular(D: spla.LinearOperator, v0, rel_tol: float, max_iter: int) -> 
 
 
 def opnorm(A, rel_tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0) -> float:
-    """Largest singular value of an ``Operator``, a dense or sparse matrix
-    or a ``LinearOperator``, by Lanczos on A^* A (see ``_top_singular``).
+    """Largest singular value of a dense or sparse matrix or a
+    ``LinearOperator``, by Lanczos on A^* A (see ``_top_singular``).
 
     ``rel_tol`` is ARPACK's relative accuracy of the largest eigenvalue
     sigma^2 of A^* A, so sigma is accurate to about ``rel_tol / 2``
@@ -217,7 +213,7 @@ def opnorm(A, rel_tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0) -> f
     A gives 0.0; no convergence raises ``NumericError`` carrying the best
     estimate.
     """
-    D = spla.aslinearoperator(A.matrix if isinstance(A, Operator) else A)
+    D = spla.aslinearoperator(A)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(D.shape[1]) + 1j * rng.standard_normal(D.shape[1])
     return _top_singular(D, v0, rel_tol, max_iter)

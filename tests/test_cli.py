@@ -146,6 +146,9 @@ def test_parse_config_explicit_grid(tmp_path):
         ("run", "opnorm_abs_tol", 1.0),
         ("run", "verify_samples", 1.0),
         ("run", "tolerance_scale", 1.0),
+        ("fock", "n_max", True),
+        ("grid", "beta", float("nan")),
+        ("run", "schedule", [2.0, float("inf")]),
     ],
 )
 def test_malformed_config_value_exits_config_error(tmp_path, capsys, section, key, value):
@@ -414,3 +417,22 @@ def test_benchmark_tracer_binds_verify_spans(tmp_path):
     assert proc.returncode == 0, proc.stderr
     names = set(json.loads(spans.read_text())["names"])
     assert {"ibc.verify_ibc_bounds", "ibc.theta1", "dressing.verify_weyl"} <= names, names
+
+
+def test_benchmark_dense_distance_check_passes(tmp_path, monkeypatch):
+    # the benchmark checks the super-critical study's distances against
+    # dense inverses of h_reg(...).dense() and h_renormalized(...).dense();
+    # a break there must fail here rather than only in a benchmark run
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import checks
+    import inputs
+
+    configs, _ = inputs.build("desk", 1)
+    cfg_path = tmp_path / "supercritical.json"
+    cfg_path.write_text(json.dumps(configs["supercritical"]))
+    out = tmp_path / "out"
+    # the super-critical study FAILs by design
+    assert main(["converge", "--config", str(cfg_path), "--out", str(out)]) == 1
+    rows = checks.read_rows(out / "converge.csv")
+    assert len(rows) == len(configs["supercritical"]["run"]["schedule"])
+    assert checks.check_distances(rows, checks.dense_distances(cfg_path)) == []

@@ -21,7 +21,7 @@ from sbfock.dressing import (
     verify_weyl_transforms,
     weyl,
 )
-from sbfock.fock import Operator, build_basis, parity, vacuum
+from sbfock.fock import build_basis, parity, vacuum
 from sbfock.ibc import restricted_block
 
 
@@ -41,14 +41,14 @@ def one_mode_basis(n_max=16):
 
 def test_weyl_zero_is_identity():
     g, basis = one_mode_basis(6)
-    W = weyl(basis, zero_form_factor(g, 1)).dense()
+    W = weyl(basis, zero_form_factor(g, 1))
     assert np.allclose(W, np.eye(basis.dim), atol=1e-15)
 
 
 def test_weyl_exactly_unitary():
     g, basis = one_mode_basis(10)
     F = FormFactor(g, np.array([0.4 + 0.2j]))
-    W = weyl(basis, F).dense()
+    W = weyl(basis, F)
     assert np.max(np.abs(W.conj().T @ W - np.eye(basis.dim))) <= 1e-13
 
 
@@ -57,7 +57,7 @@ def test_weyl_matches_dense_expm():
     g = grid_of([0.6, 1.5, 2.5], mus=[0.5, 1.0, 1.2])
     basis = build_basis(g, SpinSpace(2), 6)
     F = separable(g, [0.3, 0.2 + 0.1j, 0.15], SIGMA_X)
-    W = weyl(basis, F).dense()
+    W = weyl(basis, F)
     oracle = sla.expm(displacement_generator(basis, F).toarray())
     assert np.max(np.abs(W - oracle)) <= 1e-13
 
@@ -77,7 +77,7 @@ def test_weyl_matches_coherent_series():
     g, basis = one_mode_basis(18)
     c = 0.8
     F = FormFactor(g, np.array([c], dtype=complex))
-    W = weyl(basis, F).matrix
+    W = weyl(basis, F)
     dressed = W @ vacuum(basis)
     assert np.max(np.abs(dressed - coherent_column(basis, c))) <= 1e-10
 
@@ -86,12 +86,12 @@ def test_weyl_matches_coherent_series():
 def test_weyl_vacuum_overlap_and_parity(c):
     g, basis = one_mode_basis(16)
     F = FormFactor(g, np.array([c], dtype=complex))
-    W = weyl(basis, F).matrix
+    W = weyl(basis, F)
     om = vacuum(basis)
     overlap = np.vdot(om, W @ om).real
     assert overlap == pytest.approx(np.exp(-(bs_norm(F, 0.0) ** 2) / 2.0), abs=1e-6)
     psi = W @ om
-    par = parity(basis).dense()
+    par = parity(basis).toarray()
     pexp = np.vdot(psi, par @ psi).real
     assert pexp == pytest.approx(np.exp(-2.0 * bs_norm(F, 0.0) ** 2), abs=1e-6)
 
@@ -100,10 +100,9 @@ def test_weyl_group_inverse():
     g = grid_of([0.8, 1.6])
     basis = build_basis(g, SpinSpace(1), 8)
     F = FormFactor(g, np.array([0.3, 0.2 + 0.1j]))
-    WF = weyl(basis, F).matrix
-    Wm = weyl(basis, FormFactor(g, -F.values)).matrix
-    prod = Operator(basis, WF @ Wm)
-    block = restricted_block(prod, basis.n_max - 2)
+    WF = weyl(basis, F)
+    Wm = weyl(basis, FormFactor(g, -F.values))
+    block = restricted_block(basis, WF @ Wm, basis.n_max - 2)
     assert np.max(np.abs(block - np.eye(block.shape[0]))) <= 1e-8
 
 
@@ -113,11 +112,11 @@ def test_weyl_strong_continuity_halving():
     F = FormFactor(g, np.array([0.4, 0.25]))
     psi = np.zeros(basis.dim, dtype=complex)
     psi[basis.index((1, 0))] = 1.0
-    W_lim = weyl(basis, F).matrix
+    W_lim = weyl(basis, F)
     prev = None
     for k in range(1, 5):
         Fk = FormFactor(g, F.values * (1.0 + 0.5**k))
-        dev = np.linalg.norm((weyl(basis, Fk).matrix - W_lim) @ psi)
+        dev = np.linalg.norm((weyl(basis, Fk) - W_lim) @ psi)
         if prev is not None:
             assert dev < prev
         prev = dev

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sbfock import (
+    CouplingDecomposition,
     FormFactor,
     ModeGrid,
     NumericError,
@@ -18,9 +20,12 @@ from sbfock import (
     separable,
     zero_form_factor,
 )
+from sbfock.dressing import weyl
 from sbfock.fock import (
+    Operator,
     annihilate,
     basis_size,
+    block_diag_operator,
     build_basis,
     create,
     dgamma,
@@ -30,6 +35,8 @@ from sbfock.fock import (
     spin_operator,
     vacuum,
 )
+from sbfock.ibc import g_op, nilpotent_inverse, t_op, theta0, theta1, xi
+from sbfock.renorm import HamiltonianSpec, h_cutoff, h_reg, h_renormalized
 
 
 def grid_of(omegas, mus=None, kappa=1.0):
@@ -81,11 +88,11 @@ def test_basis_enumeration_order_and_index_maps():
 
 def test_dgamma_examples():
     basis = build_basis(grid_of([1.0, 2.0]), SpinSpace(1), 3)
-    dg = dgamma(basis, [1.0, 2.0]).dense()
+    dg = dgamma(basis, [1.0, 2.0]).toarray()
     assert dg[0, 0] == 0.0  # vacuum
     i = basis.index((2, 1))
     assert dg[i, i] == pytest.approx(4.0)
-    num = dgamma(basis, [1.0, 1.0]).dense()
+    num = dgamma(basis, [1.0, 1.0]).toarray()
     for idx in range(basis.dim):
         occ, _ = basis.state(idx)
         assert num[idx, idx] == pytest.approx(sum(occ))
@@ -102,7 +109,7 @@ def test_dgamma_weight_length_checked():
 
 def test_parity():
     basis = build_basis(grid_of([1.0, 3.0]), SpinSpace(2), 3)
-    P = parity(basis).dense()
+    P = parity(basis).toarray()
     assert P[0, 0] == 1.0
     one_boson = basis.index((1, 0))
     assert P[one_boson, one_boson] == -1.0
@@ -116,7 +123,7 @@ def test_annihilate_kills_vacuum():
     rng = np.random.default_rng(0)
     basis = build_basis(grid_of([1.0, 2.0]), SpinSpace(2), 2)
     F = random_ff(basis.grid, 2, rng)
-    a = annihilate(basis, F).dense()
+    a = annihilate(basis, F).toarray()
     for s in range(2):
         assert np.allclose(a @ vacuum(basis, s), 0.0)
 
@@ -124,7 +131,7 @@ def test_annihilate_kills_vacuum():
 def test_annihilate_sigma_minus_flips_spin_up():
     basis = build_basis(grid_of([1.0]), SpinSpace(2), 2)
     F = separable(basis.grid, [1.0], SIGMA_MINUS)
-    a = annihilate(basis, F).dense()
+    a = annihilate(basis, F).toarray()
     # spin index 0 = up, 1 = down; sigma_-^* = sigma_+ raises down -> up
     psi = basis.unit_vector((1,), 1)
     out = a @ psi
@@ -153,7 +160,7 @@ def test_annihilate_number_conservation():
     rng = np.random.default_rng(2)
     basis = build_basis(grid_of([1.0, 2.0, 3.0]), SpinSpace(2), 3)
     F = random_ff(basis.grid, 2, rng)
-    a = annihilate(basis, F).dense()
+    a = annihilate(basis, F).toarray()
     for i in range(basis.dim):
         for j in range(basis.dim):
             if abs(a[i, j]) > 0:
@@ -167,11 +174,11 @@ def test_annihilate_antilinear_create_linear():
     G = random_ff(basis.grid, 2, rng)
     c = 0.7 - 1.3j
     cFpG = FormFactor(basis.grid, c * F.values + G.values)
-    a = annihilate(basis, cFpG).dense()
-    expected = np.conj(c) * annihilate(basis, F).dense() + annihilate(basis, G).dense()
+    a = annihilate(basis, cFpG).toarray()
+    expected = np.conj(c) * annihilate(basis, F).toarray() + annihilate(basis, G).toarray()
     assert np.allclose(a, expected, atol=1e-13)
-    ad = create(basis, cFpG).dense()
-    expected_c = c * create(basis, F).dense() + create(basis, G).dense()
+    ad = create(basis, cFpG).toarray()
+    expected_c = c * create(basis, F).toarray() + create(basis, G).toarray()
     assert np.allclose(ad, expected_c, atol=1e-13)
 
 
@@ -188,16 +195,16 @@ def test_annihilate_grid_mismatch():
 def test_field_zero_and_selfadjoint():
     rng = np.random.default_rng(4)
     basis = build_basis(grid_of([1.0, 2.0]), SpinSpace(2), 3)
-    assert not np.any(field(basis, zero_form_factor(basis.grid, 2)).dense())
+    assert not np.any(field(basis, zero_form_factor(basis.grid, 2)).toarray())
     F = random_ff(basis.grid, 2, rng)
-    phi = field(basis, F).dense()
+    phi = field(basis, F).toarray()
     assert np.array_equal(phi, phi.conj().T)
 
 
 def test_field_vacuum_fluctuation():
     basis = build_basis(grid_of([1.0]), SpinSpace(1), 3)
     F = FormFactor(basis.grid, np.array([1.0]))
-    phi = field(basis, F).dense()
+    phi = field(basis, F).toarray()
     omega = vacuum(basis)
     assert np.vdot(omega, phi @ (phi @ omega)).real == pytest.approx(1.0, abs=1e-14)
 
@@ -207,11 +214,11 @@ def test_field_vacuum_fluctuation():
 
 def test_function_of_dgamma():
     basis = build_basis(grid_of([1.0, 2.0]), SpinSpace(2), 3)
-    dg = dgamma(basis, basis.grid.omegas).dense()
-    assert np.allclose(function_of_dgamma(basis, lambda E: E).dense(), dg)
-    assert np.allclose(function_of_dgamma(basis, lambda E: 1.0).dense(), np.eye(basis.dim))
+    dg = dgamma(basis, basis.grid.omegas).toarray()
+    assert np.allclose(function_of_dgamma(basis, lambda E: E).toarray(), dg)
+    assert np.allclose(function_of_dgamma(basis, lambda E: 1.0).toarray(), np.eye(basis.dim))
     lam = 0.8
-    inv = function_of_dgamma(basis, lambda E: 1.0 / (E + lam)).dense()
+    inv = function_of_dgamma(basis, lambda E: 1.0 / (E + lam)).toarray()
     prod = inv @ (dg + lam * np.eye(basis.dim))
     assert np.max(np.abs(prod - np.eye(basis.dim))) <= 1e-14
 
@@ -261,8 +268,8 @@ def test_ccr_field_commutator(spin_dim):
     idx = basis.sector(basis.n_max - 2)
     for _ in range(3):
         F, G = commuting_pair(basis.grid, rng, spin_dim)
-        phiF = field(basis, F).dense()
-        phiG = field(basis, G).dense()
+        phiF = field(basis, F).toarray()
+        phiG = field(basis, G).toarray()
         comm = phiF @ phiG - phiG @ phiF
         scalar = bs_inner(F, G, 0.0) - bs_inner(G, F, 0.0)
         expected = np.kron(np.eye(basis.n_fock), scalar)
@@ -276,12 +283,12 @@ def test_ccr_with_dgamma(spin_dim):
     rng = np.random.default_rng(20 + spin_dim)
     basis = build_basis(grid_of([0.8, 1.7, 2.5], mus=[0.5, 1.0, 2.0]), SpinSpace(spin_dim), 4)
     idx = basis.sector(basis.n_max - 2)
-    dg = dgamma(basis, basis.grid.omegas).dense()
+    dg = dgamma(basis, basis.grid.omegas).toarray()
     for _ in range(3):
         F = random_ff(basis.grid, spin_dim, rng)
-        phi = field(basis, F).dense()
+        phi = field(basis, F).toarray()
         omegaF = FormFactor(basis.grid, basis.grid.omegas[:, None, None] * F.values)
-        expected = create(basis, omegaF).dense() - annihilate(basis, omegaF).dense()
+        expected = create(basis, omegaF).toarray() - annihilate(basis, omegaF).toarray()
         dev = ((dg @ phi - phi @ dg) - expected)[np.ix_(idx, idx)]
         assert np.max(np.abs(dev)) <= 1e-10
 
@@ -289,7 +296,7 @@ def test_ccr_with_dgamma(spin_dim):
 def test_field_relative_bound():
     rng = np.random.default_rng(30)
     basis = build_basis(grid_of([0.6, 1.5, 3.0], mus=[0.7, 1.0, 1.5]), SpinSpace(2), 4)
-    dg = dgamma(basis, basis.grid.omegas).dense()
+    dg = dgamma(basis, basis.grid.omegas).toarray()
     half = np.diag(np.sqrt(1.0 + np.diag(dg).real))
     for _ in range(10):
         F = random_ff(basis.grid, 2, rng)
@@ -297,9 +304,69 @@ def test_field_relative_bound():
             basis.grid, (1.0 + basis.grid.omegas ** (-0.5))[:, None, None] * F.values
         )
         bound = 2.0 * bs_norm(damped, 0.0)
-        phi = field(basis, F).dense()
+        phi = field(basis, F).toarray()
         for _ in range(10):
             psi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
             lhs = np.linalg.norm(phi @ psi)
             rhs = bound * np.linalg.norm(half @ psi)
             assert lhs <= rhs * (1 + 1e-9)
+
+
+# ------------------------------------------------------------ return types
+
+
+def _spec(grid):
+    zero = zero_form_factor(grid, 2)
+    coupling = CouplingDecomposition(
+        v_le=separable(grid, [0.3, 0.0, 0.0], SIGMA_X),
+        v_d=separable(grid, [0.0, 0.3, 0.2], SIGMA_X),
+        v_n=zero,
+        s_n=1.5,
+    )
+    return HamiltonianSpec(S=np.diag([-1.0, 1.0]), coupling=coupling, lam=1.0, n_max=3)
+
+
+# name -> (expected kind, builder of (basis, F, spec))
+RETURN_KINDS = {
+    "annihilate": ("csr", lambda b, F, spec: annihilate(b, F)),
+    "create": ("csr", lambda b, F, spec: create(b, F)),
+    "field": ("csr", lambda b, F, spec: field(b, F)),
+    "dgamma": ("csr", lambda b, F, spec: dgamma(b, b.grid.omegas)),
+    "parity": ("csr", lambda b, F, spec: parity(b)),
+    "function_of_dgamma": ("csr", lambda b, F, spec: function_of_dgamma(b, lambda E: E + 1.0)),
+    "block_diag_operator": (
+        "csr",
+        lambda b, F, spec: block_diag_operator(b, np.ones((b.n_fock, 2, 2))),
+    ),
+    "theta0": ("csr", lambda b, F, spec: theta0(b, F, 1.0)),
+    "theta1": ("csr", lambda b, F, spec: theta1(b, F, 1.0)),
+    "t_op": ("csr", lambda b, F, spec: t_op(b, F, 1.0)),
+    "g_op": ("csr", lambda b, F, spec: g_op(b, F, 1.0)),
+    "xi": ("csr", lambda b, F, spec: xi(b, F, F, 1.0)),
+    "nilpotent_inverse_left": ("csr", lambda b, F, spec: nilpotent_inverse(b, F, 1.0)[0]),
+    "nilpotent_inverse_right": ("csr", lambda b, F, spec: nilpotent_inverse(b, F, 1.0)[1]),
+    "weyl": ("ndarray", lambda b, F, spec: weyl(b, F)),
+    "h_reg": ("Operator", lambda b, F, spec: h_reg(b, spec.S, spec.coupling.total())),
+    "h_cutoff": ("Operator", lambda b, F, spec: h_cutoff(b, spec, 3.0)[0]),
+    "h_renormalized": ("Operator", lambda b, F, spec: h_renormalized(b, spec)),
+}
+
+
+@pytest.mark.parametrize("name", list(RETURN_KINDS))
+def test_builder_return_types(name):
+    # operator builders return CSR matrices, weyl a dense array, and the
+    # Hamiltonian builders an Operator whose dense() is its matrix
+    grid = grid_of([0.5, 2.0, 4.0], mus=[0.6, 1.0, 1.4])
+    basis = build_basis(grid, SpinSpace(2), 3)
+    F = separable(grid, [0.0, 0.4, 0.3], SIGMA_MINUS)
+    kind, build = RETURN_KINDS[name]
+    X = build(basis, F, _spec(grid))
+    if kind == "csr":
+        assert sp.issparse(X) and X.format == "csr"
+    elif kind == "ndarray":
+        assert isinstance(X, np.ndarray)
+    else:
+        assert isinstance(X, Operator)
+        X = X.dense()
+        assert isinstance(X, np.ndarray)
+    assert X.shape == (basis.dim, basis.dim)

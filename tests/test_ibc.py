@@ -17,7 +17,6 @@ from sbfock import (
     zero_form_factor,
 )
 from sbfock.fock import (
-    Operator,
     annihilate,
     build_basis,
     create,
@@ -63,7 +62,7 @@ def independent_t_oracle(basis, F, lam):
     ad = create(basis, F).tocsr()
     res = function_of_dgamma(basis, lambda E: 1.0 / (E + lam)).tocsr()
     shift = sp.kron(sp.identity(basis.n_fock), sp.csr_matrix(bs_inner(F, F, 1.0)))
-    return Operator(basis, (a @ res @ ad - shift).tocsr())
+    return (a @ res @ ad - shift).tocsr()
 
 
 # ------------------------------------------------------------------- theta0
@@ -72,12 +71,12 @@ def independent_t_oracle(basis, F, lam):
 def test_theta0_zero():
     g, basis, _ = single_mode_setup()
     Z = zero_form_factor(g, 1)
-    assert not np.any(theta0(basis, Z, 1.0).dense())
+    assert not np.any(theta0(basis, Z, 1.0).toarray())
 
 
 def test_theta0_single_mode_values():
     _, basis, F = single_mode_setup()
-    th = theta0(basis, F, 1.0).dense()
+    th = theta0(basis, F, 1.0).toarray()
     vac = basis.index((0,))
     one = basis.index((1,))
     assert th[vac, vac] == pytest.approx(-0.5, abs=1e-15)
@@ -95,15 +94,15 @@ def test_theta0_requires_positive_lambda():
 
 def test_theta1_zero_cases():
     g, basis, F = single_mode_setup()
-    assert not np.any(theta1(basis, zero_form_factor(g, 1), 1.0).dense())
-    th = theta1(basis, F, 1.0).dense()
+    assert not np.any(theta1(basis, zero_form_factor(g, 1), 1.0).toarray())
+    th = theta1(basis, F, 1.0).toarray()
     vac = basis.index((0,))
     assert not np.any(th[:, vac])  # annihilator hits the vacuum
 
 
 def test_theta1_single_mode_value():
     _, basis, F = single_mode_setup()
-    th = theta1(basis, F, 1.0).dense()
+    th = theta1(basis, F, 1.0).toarray()
     one = basis.index((1,))
     assert th[one, one] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
@@ -113,7 +112,7 @@ def test_theta1_preserves_boson_number():
     g = grid_of([0.8, 1.9])
     basis = build_basis(g, SpinSpace(2), 3)
     F = random_ff(g, 2, rng)
-    th = theta1(basis, F, 1.0).dense()
+    th = theta1(basis, F, 1.0).toarray()
     for i in range(basis.dim):
         for j in range(basis.dim):
             if abs(th[i, j]) > 0:
@@ -125,7 +124,7 @@ def test_theta1_preserves_boson_number():
 
 def test_t_op_single_mode_value():
     _, basis, F = single_mode_setup()
-    T = t_op(basis, F, 1.0).dense()
+    T = t_op(basis, F, 1.0).toarray()
     one = basis.index((1,))
     assert T[one, one] == pytest.approx(-1.0 / 3.0, abs=1e-15)
 
@@ -140,7 +139,7 @@ def test_t_op_normal_ordering_oracle(spin_dim, lam):
         F = random_ff(g, spin_dim, rng)
         T = t_op(basis, F, lam)
         oracle = independent_t_oracle(basis, F, lam)
-        assert restricted_deviation(T, oracle, basis.n_max - 2) <= 1e-10
+        assert restricted_deviation(basis, T, oracle, basis.n_max - 2) <= 1e-10
 
 
 def test_t_op_selfadjoint_below_edge():
@@ -148,7 +147,7 @@ def test_t_op_selfadjoint_below_edge():
     g = grid_of([0.7, 1.3, 2.4])
     basis = build_basis(g, SpinSpace(2), 4)
     F = random_ff(g, 2, rng)
-    block = restricted_block(t_op(basis, F, 1.0), basis.n_max - 2)
+    block = restricted_block(basis, t_op(basis, F, 1.0), basis.n_max - 2)
     assert np.max(np.abs(block - block.conj().T)) <= 1e-13
 
 
@@ -157,7 +156,7 @@ def test_t_op_selfadjoint_below_edge():
 
 def test_g_op_zero_and_lambda_guard():
     g, basis, F = single_mode_setup()
-    assert not np.any(g_op(basis, zero_form_factor(g, 1), 1.0).dense())
+    assert not np.any(g_op(basis, zero_form_factor(g, 1), 1.0).toarray())
     with pytest.raises(ParameterError):
         g_op(basis, F, -1.0)
 
@@ -190,8 +189,8 @@ def test_g_op_norm_bound(s, lam):
 def test_nilpotent_inverse_zero():
     g, basis, _ = single_mode_setup()
     L, R = nilpotent_inverse(basis, zero_form_factor(g, 1), 1.0)
-    assert np.allclose(L.dense(), np.eye(basis.dim))
-    assert np.allclose(R.dense(), np.eye(basis.dim))
+    assert np.allclose(L.toarray(), np.eye(basis.dim))
+    assert np.allclose(R.toarray(), np.eye(basis.dim))
 
 
 def test_nilpotent_inverse_sigma_minus():
@@ -199,10 +198,10 @@ def test_nilpotent_inverse_sigma_minus():
     basis = build_basis(g, SpinSpace(2), 3)
     F = separable(g, [0.9, 0.5], SIGMA_MINUS)
     L, R = nilpotent_inverse(basis, F, 1.0)
-    G = g_op(basis, F, 1.0).dense()
+    G = g_op(basis, F, 1.0).toarray()
     eye = np.eye(basis.dim)
-    assert np.max(np.abs((eye + G) @ L.dense() - eye)) <= 1e-13
-    assert np.max(np.abs((eye + G.conj().T) @ R.dense() - eye)) <= 1e-13
+    assert np.max(np.abs((eye + G) @ L.toarray() - eye)) <= 1e-13
+    assert np.max(np.abs((eye + G.conj().T) @ R.toarray() - eye)) <= 1e-13
 
 
 def test_nilpotent_inverse_rejects_sigma_x():
@@ -221,16 +220,14 @@ def test_xi_zero_coupling_is_free_energy():
     basis = build_basis(g, SpinSpace(2), 3)
     Z = zero_form_factor(g, 2)
     lam = 1.3
-    X = xi(basis, Z, Z, lam).dense()
-    expected = dgamma(basis, g.omegas).dense() + lam * np.eye(basis.dim)
+    X = xi(basis, Z, Z, lam).toarray()
+    expected = dgamma(basis, g.omegas).toarray() + lam * np.eye(basis.dim)
     assert np.allclose(X, expected, atol=1e-14)
 
 
 def h_reg_inline(basis, V):
     """dGamma(omega) + phi(V), assembled directly from fock primitives."""
-    return Operator(
-        basis, (dgamma(basis, basis.grid.omegas).tocsr() + field(basis, V).tocsr()).tocsr()
-    )
+    return (dgamma(basis, basis.grid.omegas).tocsr() + field(basis, V).tocsr()).tocsr()
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 5.0])
@@ -244,7 +241,7 @@ def test_xi_boundary_identity_nilpotent(lam):
         + sp.kron(sp.identity(basis.n_fock), sp.csr_matrix(bs_inner(VN, VN, 1.0)))
         + lam * sp.identity(basis.dim, format="csr")
     )
-    assert restricted_deviation(X, Operator(basis, target.tocsr()), basis.n_max - 2) <= 1e-10
+    assert restricted_deviation(basis, X, target.tocsr(), basis.n_max - 2) <= 1e-10
 
 
 def test_xi_lambda_consistency_of_spectra():
@@ -254,8 +251,8 @@ def test_xi_lambda_consistency_of_spectra():
     m = basis.n_max - 2
     spectra = []
     for lam in (1.0, 3.0):
-        block = restricted_block(xi(basis, VN, VN, lam), m) - lam * np.eye(
-            restricted_block(xi(basis, VN, VN, lam), m).shape[0]
+        block = restricted_block(basis, xi(basis, VN, VN, lam), m) - lam * np.eye(
+            restricted_block(basis, xi(basis, VN, VN, lam), m).shape[0]
         )
         assert np.max(np.abs(block - block.conj().T)) <= 1e-12
         spectra.append(np.linalg.eigvalsh((block + block.conj().T) / 2))
@@ -277,7 +274,7 @@ def test_lower_semibounded_core():
             + lam * sp.identity(basis.dim, format="csr")
             - t_op(basis, V, lam).tocsr()
         )
-        block = restricted_block(Operator(basis, core.tocsr()), basis.n_max - 2)
+        block = restricted_block(basis, core.tocsr(), basis.n_max - 2)
         evals = np.linalg.eigvalsh((block + block.conj().T) / 2)
         assert evals[0] > 0
 
