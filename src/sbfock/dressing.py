@@ -44,7 +44,7 @@ def weyl(basis: OccupationBasis, F: FormFactor) -> np.ndarray:
     if basis.dim > cap:
         raise ResourceError(f"dense Weyl operator at dimension {basis.dim} exceeds cap {cap}")
     apply_W, _ = weyl_action(basis, F)
-    W = apply_W(np.eye(basis.dim, dtype=complex))
+    W = apply_W(np.eye(basis.dim))
     if not np.all(np.isfinite(W)):
         raise NumericError("Weyl exponential produced non-finite entries")
     return W

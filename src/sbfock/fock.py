@@ -12,6 +12,9 @@ through ``OccupationBasis.lift``, ``sector`` and ``unit_columns``,
 
 Operator builders return ``scipy.sparse`` CSR matrices; ``Operator`` (a
 matrix with its basis) is the type of the Hamiltonians in ``renorm``.
+An operator whose entries are all real is stored as float64, otherwise as
+complex128 (``_entries`` decides, for every matrix built here); the
+spectral parameter z enters only where a resolvent is formed.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ class OccupationBasis:
     def unit_columns(self, idx) -> np.ndarray:
         """The unit vectors on the indices ``idx`` as the columns of a
         (dim, len(idx)) array."""
-        units = np.zeros((self.dim, len(idx)), dtype=complex)
+        units = np.zeros((self.dim, len(idx)))
         units[idx, np.arange(len(idx))] = 1.0
         return units
 
@@ -114,14 +117,15 @@ class OccupationBasis:
         """Cached (state, mode, child, sqrt(n)) table of all single-boson
         removals; the raw material for every smeared ladder operator."""
         if not hasattr(self, "_lowering"):
-            rows, modes = np.nonzero(self.occupations)
-            child = np.empty(len(rows), dtype=np.int64)
             occs = self.occupations
-            rank = self._rank
-            for j in range(len(rows)):
-                occ = occs[rows[j]].copy()
-                occ[modes[j]] -= 1
-                child[j] = rank[occ.tobytes()]
+            rows, modes = np.nonzero(occs)
+            # big-endian (total, occupation) byte keys ascend in basis order
+            keyed = np.hstack([self.totals[:, None], occs]).astype(">u2")
+            keys = keyed.view(f"S{keyed.itemsize * keyed.shape[1]}").ravel()
+            lowered = keyed[rows]
+            lowered[:, 0] -= 1
+            lowered[np.arange(len(rows)), modes + 1] -= 1
+            child = np.searchsorted(keys, lowered.view(keys.dtype).ravel())
             amps = np.sqrt(occs[rows, modes].astype(float))
             self._lowering = (rows, modes, child, amps)
         return self._lowering
@@ -184,17 +188,25 @@ def _check_grid(basis: OccupationBasis, F: FormFactor):
         raise StructuralError("form factor spin dimension does not match basis")
 
 
+def _entries(values) -> np.ndarray:
+    """``values`` as float64 when every entry is real, else as complex128:
+    the one place that decides the dtype of an operator."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values) and np.any(values.imag):
+        return values.astype(complex, copy=False)
+    return values.real.astype(float, copy=False)
+
+
 def spin_operator(basis: OccupationBasis, M, fock=None) -> sp.csr_matrix:
     """The CSR matrix of ``fock`` (x) ``M`` on the full index: ``fock`` on
     the Fock factor (the identity when None) and the spin matrix ``M``."""
     if fock is None:
         fock = sp.identity(basis.n_fock, format="csr")
-    return sp.kron(fock, M, format="csr")
+    return sp.kron(fock, _entries(M), format="csr")
 
 
 def _diag_operator(basis: OccupationBasis, fock_values: np.ndarray) -> sp.csr_matrix:
-    vals = basis.lift(np.asarray(fock_values, dtype=complex))
-    return sp.diags(vals, format="csr")
+    return sp.diags(basis.lift(_entries(fock_values)), format="csr")
 
 
 def _spin_blocks(basis: OccupationBasis, fock_rows, fock_cols, blocks) -> sp.csr_matrix:
@@ -204,7 +216,7 @@ def _spin_blocks(basis: OccupationBasis, fock_rows, fock_cols, blocks) -> sp.csr
     rr, cc = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     rows = (fock_rows[:, None, None] * d + rr[None, :, :]).ravel()
     cols = (fock_cols[:, None, None] * d + cc[None, :, :]).ravel()
-    data = blocks.ravel()
+    data = _entries(blocks).ravel()
     keep = data != 0
     return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(basis.dim, basis.dim))
 
@@ -234,7 +246,7 @@ def parity(basis: OccupationBasis) -> sp.csr_matrix:
 def function_of_dgamma(basis: OccupationBasis, g) -> sp.csr_matrix:
     """Diagonal operator g(dGamma(omega)) evaluated on the occupation energies."""
     with np.errstate(all="ignore"):
-        vals = np.asarray([g(E) for E in basis.energies], dtype=complex)
+        vals = np.asarray([g(E) for E in basis.energies])
     if not np.all(np.isfinite(vals)):
         raise NumericError("function of dGamma(omega) is not finite at some eigenvalue")
     return _diag_operator(basis, vals)
@@ -250,7 +262,7 @@ def annihilate(basis: OccupationBasis, F: FormFactor) -> sp.csr_matrix:
     _check_grid(basis, F)
     rows, modes, child, amps = basis.lowering_table()
     if len(rows) == 0 or F.is_zero():
-        return sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+        return sp.csr_matrix((basis.dim, basis.dim))
     fstar = F.values.conj().transpose(0, 2, 1)  # (M, d, d)
     blocks = fstar[modes]  # (pairs, d, d)
     weights = (np.sqrt(basis.grid.mus)[modes] * amps)[:, None, None] * blocks

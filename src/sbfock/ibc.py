@@ -69,11 +69,11 @@ def theta1(basis: OccupationBasis, F: FormFactor, lam: float) -> sp.csr_matrix:
     ad_full = create(basis, F)
     omegas = basis.grid.omegas
     mus = basis.grid.mus
-    eye_spin = sp.identity(basis.spin.dim, format="csr", dtype=complex)
+    eye_spin = np.eye(basis.spin.dim)
     rows_acc, cols_acc, data_acc = [], [], []
     for r in range(basis.grid.n_modes):
-        fr_star = sp.csr_matrix(F.values[r].conj().T)
-        if fr_star.nnz == 0:
+        fr_star = F.values[r].conj().T
+        if not np.any(fr_star):
             continue
         a_r = basis.mode_lowering(r)
         if a_r.nnz == 0:
@@ -88,7 +88,7 @@ def theta1(basis: OccupationBasis, F: FormFactor, lam: float) -> sp.csr_matrix:
         cols_acc.append(term.col)
         data_acc.append(term.data)
     if not rows_acc:
-        return sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+        return sp.csr_matrix((basis.dim, basis.dim))
     mat = sp.csr_matrix(
         (np.concatenate(data_acc), (np.concatenate(rows_acc), np.concatenate(cols_acc))),
         shape=(basis.dim, basis.dim),
@@ -126,7 +126,7 @@ def nilpotent_inverse(
     G2.eliminate_zeros()
     if G2.nnz:
         raise StructuralError("G^2 has nonzero entries; nilpotency broken at matrix level")
-    eye = sp.identity(basis.dim, format="csr", dtype=complex)
+    eye = sp.identity(basis.dim, format="csr")
     left = eye - G
     check = (eye + G) @ left - eye
     resid = np.max(np.abs(check.data)) if check.nnz else 0.0
@@ -139,7 +139,7 @@ def _sandwich(
     basis: OccupationBasis, G: sp.csr_matrix, T: sp.csr_matrix, lam: float
 ) -> sp.csr_matrix:
     """(1 + G)(dGamma(omega) + lambda - T)(1 + G*) for G = G_F and T = T_V."""
-    eye = sp.identity(basis.dim, format="csr", dtype=complex)
+    eye = sp.identity(basis.dim, format="csr")
     core = dgamma(basis, basis.grid.omegas) + lam * eye - T
     return (eye + G) @ core @ (eye + G.conj().T)
 

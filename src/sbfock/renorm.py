@@ -96,7 +96,7 @@ class HamiltonianSpec:
 
 def h_reg(basis: OccupationBasis, S: np.ndarray, V: FormFactor) -> Operator:
     """Regularized Hamiltonian S + dGamma(omega) + phi(V)."""
-    S = np.atleast_2d(np.asarray(S, dtype=complex))
+    S = np.atleast_2d(np.asarray(S))
     if S.shape != (basis.spin.dim, basis.spin.dim):
         raise StructuralError("S shape does not match basis spin dimension")
     mat = spin_operator(basis, S) + dgamma(basis, basis.grid.omegas) + field(basis, V)
@@ -138,15 +138,13 @@ def h_renormalized(basis: OccupationBasis, spec: HamiltonianSpec) -> Operator:
     core = xi(basis, spec.coupling.v_n, spec.coupling.v_n, lam)
     core = core + field(basis, spec.coupling.v_le)
     if spec.coupling.v_d.is_zero():
-        mat = spin_operator(basis, spec.S) + core - lam * sp.identity(
-            basis.dim, format="csr", dtype=complex
-        )
+        mat = spin_operator(basis, spec.S) + core - lam * sp.identity(basis.dim, format="csr")
         return Operator(basis, mat)
     dress = FormFactor(
         basis.grid, spec.coupling.v_d.values / basis.grid.omegas[:, None, None]
     )
     W = weyl(basis, dress)
-    dressed = W @ core.toarray() @ W.conj().T
+    dressed = W @ (core @ W.conj().T)
     mat = spin_operator(basis, spec.S).toarray() + dressed - lam * np.eye(basis.dim)
     return Operator(basis, mat)
 
@@ -592,7 +590,7 @@ def vanhove_demo(
     sel = basis.sector(restrict_m)
     units = basis.unit_columns(sel)
     totals = basis.lift(basis.totals)
-    v_ff = FormFactor(grid, np.asarray(profile, dtype=complex))
+    v_ff = FormFactor(grid, profile)
     r_free = 1.0 / (basis.lift(basis.energies)[sel] - STUDY_Z)
     par = parity(basis)
 

@@ -13,6 +13,7 @@ from sbfock import (
     ResourceError,
     SIGMA_MINUS,
     SIGMA_X,
+    SIGMA_Y,
     SpinSpace,
     StructuralError,
     bs_inner,
@@ -315,11 +316,11 @@ def test_field_relative_bound():
 # ------------------------------------------------------------ return types
 
 
-def _spec(grid):
+def _spec(grid, B=SIGMA_X, phases=(1, 1, 1)):
     zero = zero_form_factor(grid, 2)
     coupling = CouplingDecomposition(
-        v_le=separable(grid, [0.3, 0.0, 0.0], SIGMA_X),
-        v_d=separable(grid, [0.0, 0.3, 0.2], SIGMA_X),
+        v_le=separable(grid, np.multiply([0.3, 0.0, 0.0], phases), B),
+        v_d=separable(grid, np.multiply([0.0, 0.3, 0.2], phases), B),
         v_n=zero,
         s_n=1.5,
     )
@@ -370,3 +371,44 @@ def test_builder_return_types(name):
         X = X.dense()
         assert isinstance(X, np.ndarray)
     assert X.shape == (basis.dim, basis.dim)
+
+
+# (spin matrix of F, spin matrix of the spec's coupling, phase of each mode)
+DTYPE_CASES = {
+    "real": (SIGMA_MINUS, SIGMA_X, (1, 1, 1)),
+    "sigma_y": (SIGMA_Y, SIGMA_Y, (1, 1, 1)),
+    "complex_profile": (SIGMA_MINUS, SIGMA_X, (1, 1j, 1)),
+}
+# Real on every case: dgamma and parity take no form factor, and the
+# blocks F_i^* F_i = |v_i|^2 B^* B of theta0 are real matrices here.
+ALWAYS_REAL = {"dgamma", "parity", "theta0"}
+DTYPE_BUILDERS = [
+    "annihilate", "field", "dgamma", "parity", "theta0", "theta1", "t_op",
+    "g_op", "xi", "h_reg", "h_cutoff", "h_renormalized", "weyl",
+]
+
+
+@pytest.mark.parametrize("case", list(DTYPE_CASES))
+@pytest.mark.parametrize("name", DTYPE_BUILDERS)
+def test_builder_dtype_follows_data(name, case):
+    # real data is stored as float64, complex data as complex128
+    grid = grid_of([0.5, 2.0, 4.0], mus=[0.6, 1.0, 1.4])
+    basis = build_basis(grid, SpinSpace(2), 3)
+    B_F, B_spec, phases = DTYPE_CASES[case]
+    F = separable(grid, np.multiply([0.0, 0.4, 0.3], phases), B_F)
+    X = RETURN_KINDS[name][1](basis, F, _spec(grid, B_spec, phases))
+    X = X.matrix if isinstance(X, Operator) else X
+    real = case == "real" or name in ALWAYS_REAL
+    assert X.dtype == (np.float64 if real else np.complex128)
+
+
+@pytest.mark.parametrize("omegas, n_max", [([1.0, 2.0, 3.0, 4.0], 6), ([0.5, 1.5], 9)])
+def test_lowering_table_children_match_fock_rank(omegas, n_max):
+    basis = build_basis(grid_of(omegas), SpinSpace(2), n_max)
+    rows, modes, child, amps = basis.lowering_table()
+    assert len(rows) == np.count_nonzero(basis.occupations)
+    for k in range(len(rows)):
+        occ = basis.occupations[rows[k]].copy()
+        assert amps[k] == math.sqrt(occ[modes[k]])
+        occ[modes[k]] -= 1
+        assert child[k] == basis.fock_rank(occ)

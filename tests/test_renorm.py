@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from sbfock import (
     ParameterError,
     SIGMA_MINUS,
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     SpinSpace,
     StructuralError,
@@ -20,8 +23,10 @@ from sbfock import (
     separable,
     zero_form_factor,
 )
+from sbfock.cli import parse_config
 from sbfock.fock import DEFAULT_STATE_CAP, Operator, annihilate, build_basis, create, dgamma, field
 from sbfock.ibc import restricted_block, restricted_deviation
+from sbfock.model import uv_truncate
 import sbfock.renorm as renorm
 from sbfock.renorm import (
     HamiltonianSpec,
@@ -34,6 +39,9 @@ from sbfock.renorm import (
     vanhove_demo,
     verify_transformed_operator_identities,
 )
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def grid_of(omegas, mus=None, kappa=1.0):
@@ -296,6 +304,51 @@ def test_ground_energy_rotating_wave_singleton_is_python_float():
     assert repr(ground_energy(H)) == "-1.0"
 
 
+def _shipped_ex1_h_lim(tmp_path):
+    spec, _, _ = parse_config(REPO / "configs" / "ex1_dressing.json")
+    return h_renormalized(build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max), spec)
+
+
+def _benchmark_config(tmp_path, workload):
+    import inputs  # perfbench/, put on sys.path by the test
+
+    configs, commands = inputs.build(workload, 1)
+    path = tmp_path / f"{workload}.json"
+    path.write_text(json.dumps(configs[commands[0].config]))
+    return parse_config(path)
+
+
+def _vanhove_h_at_8(tmp_path):
+    spec, _, options = _benchmark_config(tmp_path, "vanhove")
+    basis = build_basis(spec.grid, SpinSpace(1), options["vanhove_n_max"])
+    v_8 = uv_truncate(FormFactor(spec.grid, options["profile"]), 8.0)
+    return h_reg(basis, np.zeros((1, 1)), v_8)
+
+
+def _study_h_lim(tmp_path):
+    spec, _, _ = _benchmark_config(tmp_path, "study")
+    return h_renormalized(build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max), spec)
+
+
+@pytest.mark.parametrize(
+    "make, path",
+    [
+        (_shipped_ex1_h_lim, "dense"),
+        (_vanhove_h_at_8, "lanczos"),
+        (_study_h_lim, "certificate"),
+    ],
+)
+def test_ground_energy_real_and_complex_storage_agree(tmp_path, monkeypatch, make, path):
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    H = make(tmp_path)
+    assert H.matrix.dtype == np.float64
+    as_complex = Operator(H.basis, H.matrix.astype(complex))
+    g_real, g_complex = ground_energy(H), ground_energy(as_complex)
+    assert g_real == pytest.approx(g_complex, rel=1e-12, abs=0)
+    if path == "certificate":  # the vacuum x spin-down singleton
+        assert g_real == g_complex == -1.0
+
+
 def test_ground_energy_permuted_blocks_match_dense():
     # singletons and components on both sides of the Gershgorin cut, with
     # the minimum inside a component, scrambled by a random permutation
@@ -469,14 +522,14 @@ def test_convergence_study_supercritical_fails_by_design():
     assert rep.rows[-1].resolvent_distance > 0.5  # distance pinned away from zero
 
 
-def supercritical_spec():
+def supercritical_spec(B=SIGMA_X):
     from sbfock.model import power_law_grid
 
     grid, v = power_law_grid(-0.5, 1.0, 16.0, 8)
     om = grid.omegas
     coupling = CouplingDecomposition(
-        v_le=separable(grid, np.where(om <= 1, v, 0), SIGMA_X),
-        v_d=separable(grid, np.where(om > 1, v, 0), SIGMA_X),
+        v_le=separable(grid, np.where(om <= 1, v, 0), B),
+        v_d=separable(grid, np.where(om > 1, v, 0), B),
         v_n=zero_form_factor(grid, 2),
         s_n=1.5,
     )
@@ -516,6 +569,8 @@ def dense_resolvent_distances(spec, schedule, z=1j):
     [
         boundary_route_spec,
         supercritical_spec,
+        # complex operators: the sigma_y coupling has imaginary entries
+        pytest.param(lambda: supercritical_spec(SIGMA_Y), id="supercritical_sigma_y"),
         # dimension 2: below what ARPACK accepts for one eigenvalue
         pytest.param(lambda: boundary_route_spec(n_max=0), id="vacuum_only"),
     ],
