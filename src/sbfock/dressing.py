@@ -23,7 +23,7 @@ from . import _solvers
 from .errors import NumericError, ResourceError
 from .fock import OccupationBasis, annihilate, dgamma, field, spin_operator
 from .model import STRUCTURE_TOL, FormFactor, bs_inner, bs_norm, commutator_violation
-from .reports import INEQUALITY_SLACK, CheckResult, CheckSuite, bound_check
+from .reports import BOUND_SAMPLES, INEQUALITY_SLACK, CheckResult, CheckSuite, bound_check
 
 
 def displacement_generator(basis: OccupationBasis, F: FormFactor) -> sp.csr_matrix:
@@ -119,11 +119,11 @@ def verify_weyl_continuity(
     basis: OccupationBasis,
     F: FormFactor,
     G: FormFactor,
-    n_samples: int = 100,
     m: int | None = None,
     seed: int = 0,
 ) -> CheckSuite:
-    """Check the displacement-continuity estimates.
+    """Check the displacement-continuity estimates on
+    ``reports.BOUND_SAMPLES`` random vectors of the sector block.
 
     The difference of two Weyl operators is controlled by the generator
     difference: with H = i(F-G) (the phase produced by differentiating
@@ -159,7 +159,7 @@ def verify_weyl_continuity(
 
     # sample k draws its real part, then its imaginary part, on the full
     # basis; its restriction to the block, normalized, is column k
-    draws = rng.standard_normal((n_samples, 2, basis.dim))
+    draws = rng.standard_normal((BOUND_SAMPLES, 2, basis.dim))
     psis = (draws[:, 0] + 1j * draws[:, 1])[:, idx].T
     psis /= np.linalg.norm(psis, axis=0)
     suite.add(

@@ -16,10 +16,6 @@ class ParameterError(SbfockError):
 class NumericError(SbfockError):
     """A numerical routine failed (singular solve, non-finite value, no convergence)."""
 
-    def __init__(self, message, best_estimate=None):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-
 
 class ResourceError(SbfockError):
     """The request exceeds a configured size cap."""

@@ -13,8 +13,9 @@ through ``OccupationBasis.lift``, ``sector`` and ``unit_columns``,
 Operator builders return ``scipy.sparse`` CSR matrices; ``Operator`` (a
 matrix with its basis) is the type of the Hamiltonians in ``renorm``.
 An operator whose entries are all real is stored as float64, otherwise as
-complex128 (``_entries`` decides, for every matrix built here); the
-spectral parameter z enters only where a resolvent is formed.
+complex128 (``_entries`` decides, for every matrix built here and for
+``ibc.theta1``); the spectral parameter z enters only where a resolvent
+is formed.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import scipy.sparse as sp
 from .errors import NumericError, ParameterError, ResourceError, StructuralError
 from .model import FormFactor, ModeGrid, SpinSpace
 
-#: Hard default on the number of enumerated states.
-DEFAULT_STATE_CAP = 2_000_000
+#: Cap on the number of enumerated states.
+STATE_CAP = 2_000_000
 
 
 @lru_cache(maxsize=None)
@@ -63,7 +64,6 @@ class OccupationBasis:
     totals: np.ndarray  # (n_fock,) int
 
     def __post_init__(self):
-        self._rank = {self.occupations[i].tobytes(): i for i in range(len(self.occupations))}
         self.energies = self.occupations.astype(float) @ self.grid.omegas
 
     @property
@@ -74,12 +74,22 @@ class OccupationBasis:
     def dim(self) -> int:
         return self.n_fock * self.spin.dim
 
+    def _ranks(self, occupations) -> np.ndarray:
+        """Ranks of the rows of ``occupations`` among the Fock states, by
+        binary search on the cached (total, occupation) keys.  For a row
+        not in the basis the rank is ``n_fock`` or holds another state."""
+        if not hasattr(self, "_keys"):
+            self._keys = _occupation_keys(self.occupations)
+        return np.searchsorted(self._keys, _occupation_keys(occupations))
+
     def fock_rank(self, occupation) -> int:
-        key = np.asarray(occupation, dtype=np.uint16).tobytes()
-        try:
-            return self._rank[key]
-        except KeyError:
-            raise StructuralError("occupation not in basis") from None
+        occ = np.asarray(occupation, dtype=np.uint16)
+        if occ.shape != (self.grid.n_modes,):
+            raise StructuralError("occupation not in basis")
+        rank = int(self._ranks(occ[None, :])[0])
+        if rank == self.n_fock or not np.array_equal(self.occupations[rank], occ):
+            raise StructuralError("occupation not in basis")
+        return rank
 
     def index(self, occupation, spin_index: int = 0) -> int:
         """Full basis index of (occupation, spin index)."""
@@ -119,13 +129,9 @@ class OccupationBasis:
         if not hasattr(self, "_lowering"):
             occs = self.occupations
             rows, modes = np.nonzero(occs)
-            # big-endian (total, occupation) byte keys ascend in basis order
-            keyed = np.hstack([self.totals[:, None], occs]).astype(">u2")
-            keys = keyed.view(f"S{keyed.itemsize * keyed.shape[1]}").ravel()
-            lowered = keyed[rows]
-            lowered[:, 0] -= 1
-            lowered[np.arange(len(rows)), modes + 1] -= 1
-            child = np.searchsorted(keys, lowered.view(keys.dtype).ravel())
+            lowered = occs[rows]
+            lowered[np.arange(len(rows)), modes] -= 1
+            child = self._ranks(lowered)
             amps = np.sqrt(occs[rows, modes].astype(float))
             self._lowering = (rows, modes, child, amps)
         return self._lowering
@@ -141,10 +147,10 @@ class OccupationBasis:
 
 @dataclass
 class Operator:
-    """A Hamiltonian: its matrix, dense or sparse, with the basis it is written in."""
+    """A Hamiltonian: its CSR matrix with the basis it is written in."""
 
     basis: OccupationBasis
-    matrix: object  # ndarray or scipy sparse
+    matrix: sp.csr_matrix
 
     def __post_init__(self):
         if self.matrix.shape != (self.basis.dim, self.basis.dim):
@@ -153,24 +159,18 @@ class Operator:
             )
 
     def dense(self) -> np.ndarray:
-        m = self.matrix
-        return m.toarray() if sp.issparse(m) else np.asarray(m)
-
-    def tocsr(self) -> sp.csr_matrix:
-        m = self.matrix
-        return m.tocsr() if sp.issparse(m) else sp.csr_matrix(m)
+        return self.matrix.toarray()
 
 
-def build_basis(
-    grid: ModeGrid, spin: SpinSpace, n_max: int, max_states: int = DEFAULT_STATE_CAP
-) -> OccupationBasis:
-    """Enumerate all (occupation, spin) states with total boson number <= n_max."""
+def build_basis(grid: ModeGrid, spin: SpinSpace, n_max: int) -> OccupationBasis:
+    """Enumerate all (occupation, spin) states with total boson number
+    <= n_max; more than ``STATE_CAP`` states raise ``ResourceError``."""
     if n_max < 0:
         raise ParameterError("n_max must be >= 0")
     size = basis_size(grid.n_modes, spin.dim, n_max)
-    if size > max_states:
+    if size > STATE_CAP:
         raise ResourceError(
-            f"basis would have {size} states, exceeding the cap of {max_states}"
+            f"basis would have {size} states, exceeding the cap of {STATE_CAP}"
         )
     blocks = [_compositions(n, grid.n_modes) for n in range(n_max + 1)]
     occs = np.vstack(blocks)
@@ -186,6 +186,13 @@ def _check_grid(basis: OccupationBasis, F: FormFactor):
         raise StructuralError("form factor grid does not match basis grid")
     if F.spin_dim != basis.spin.dim:
         raise StructuralError("form factor spin dimension does not match basis")
+
+
+def _occupation_keys(occupations: np.ndarray) -> np.ndarray:
+    """Big-endian (total, occupation) byte keys of occupation rows; the
+    keys of the Fock states ascend in basis order."""
+    keyed = np.hstack([occupations.sum(axis=1)[:, None], occupations]).astype(">u2")
+    return keyed.view(f"S{keyed.itemsize * keyed.shape[1]}").ravel()
 
 
 def _entries(values) -> np.ndarray:

@@ -25,6 +25,7 @@ import scipy.sparse as sp
 from .errors import ParameterError, StructuralError, NumericError
 from .fock import (
     OccupationBasis,
+    _entries,
     annihilate,
     block_diag_operator,
     create,
@@ -33,7 +34,7 @@ from .fock import (
     spin_operator,
 )
 from .model import STRUCTURE_TOL, FormFactor, bs_norm, ir_split, nilpotency_violation
-from .reports import INEQUALITY_SLACK, CheckResult, CheckSuite, bound_check
+from .reports import BOUND_SAMPLES, INEQUALITY_SLACK, CheckResult, CheckSuite, bound_check
 
 #: Absolute tolerance for identity checks on truncation-safe blocks.
 IDENTITY_TOL = 1e-10
@@ -89,8 +90,9 @@ def theta1(basis: OccupationBasis, F: FormFactor, lam: float) -> sp.csr_matrix:
         data_acc.append(term.data)
     if not rows_acc:
         return sp.csr_matrix((basis.dim, basis.dim))
+    data = _entries(np.concatenate(data_acc))  # float64 when every entry is real
     mat = sp.csr_matrix(
-        (np.concatenate(data_acc), (np.concatenate(rows_acc), np.concatenate(cols_acc))),
+        (data, (np.concatenate(rows_acc), np.concatenate(cols_acc))),
         shape=(basis.dim, basis.dim),
     )
     mat.sum_duplicates()
@@ -158,14 +160,13 @@ def verify_ibc_bounds(
     V: FormFactor,
     lam: float,
     s: float,
-    n_samples: int = 100,
     seed: int = 0,
 ) -> CheckSuite:
     """Numerically check the quantitative bounds on Theta, G and xi.
 
-    Each inequality is evaluated on the same ``n_samples`` random unit
-    vectors (projected onto the truncation-safe block for the domain
-    bounds) and judged by ``reports.bound_check``.  Checks whose
+    Each inequality is evaluated on the same ``reports.BOUND_SAMPLES``
+    random unit vectors (projected onto the truncation-safe block for the
+    domain bounds) and judged by ``reports.bound_check``.  Checks whose
     hypotheses fail (non-nilpotent or infrared-supported F for the
     domain-invariance bounds) are reported as SKIPPED.
     """
@@ -177,7 +178,8 @@ def verify_ibc_bounds(
     dim = basis.dim
     energies = basis.lift(basis.energies)
     # one sample per column
-    psis = (rng.standard_normal((n_samples, dim)) + 1j * rng.standard_normal((n_samples, dim))).T
+    shape = (BOUND_SAMPLES, dim)
+    psis = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).T
     psis /= np.linalg.norm(psis, axis=0)
 
     def norms(X):

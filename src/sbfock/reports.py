@@ -8,6 +8,8 @@ import numpy as np
 
 #: Relative slack allowed when checking operator inequalities.
 INEQUALITY_SLACK = 1e-9
+#: Number of random sample vectors on which a bound suite checks its inequalities.
+BOUND_SAMPLES = 100
 
 
 @dataclass

@@ -324,11 +324,27 @@ def test_byte_identical_reruns(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
 
 
-def test_tolerance_scale_flag_tightens_verify(tmp_path):
+def test_supercritical_verify_fails_only_the_weyl_transforms(tmp_path):
+    # the documented verify FAIL: the two Weyl conjugation laws miss their
+    # 1e-7 tolerance on the super-critical config, every other check passes
+    out = tmp_path / "out"
+    assert run_command("verify", CONFIGS / "converge_supercritical.json", out) == 1
+    with open(out / "verify_results.csv", newline="") as fh:
+        failed = [r["check"] for r in csv.DictReader(fh) if r["verdict"] == "FAIL"]
+    assert failed == ["weyl_transforms/field_transform", "weyl_transforms/number_transform"]
+
+
+@pytest.mark.parametrize(
+    "flag", [["--seed", "3"], ["--tolerance-scale", "1"]], ids=["seed", "tolerance_scale"]
+)
+def test_settings_come_only_from_the_config(tmp_path, capsys, flag):
+    # the seed and tolerances are not CLI flags: a run's settings are its config
     p = write_config(tmp_path, minimal_ex2())
-    args = ["verify", "--config", str(p), "--out", str(tmp_path / "out")]
-    assert main(args + ["--tolerance-scale", "1e-30"]) == 1
-    assert main(args) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(p), "--out", str(tmp_path / "out"), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_shipped_default_config_verifies(tmp_path):

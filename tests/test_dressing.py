@@ -173,7 +173,7 @@ def test_weyl_continuity_equal_arguments():
     g = grid_of([0.8, 1.6])
     basis = build_basis(g, SpinSpace(1), 8)
     F = FormFactor(g, np.array([0.3, 0.2]))
-    suite = verify_weyl_continuity(basis, F, F, n_samples=20)
+    suite = verify_weyl_continuity(basis, F, F)
     assert suite.passed
 
 
@@ -182,7 +182,7 @@ def test_weyl_continuity_small_field_vs_zero():
     basis = build_basis(g, SpinSpace(1), 10)
     F = FormFactor(g, np.array([0.25, 0.15]))
     Z = zero_form_factor(g, 1)
-    suite = verify_weyl_continuity(basis, F, Z, n_samples=100)
+    suite = verify_weyl_continuity(basis, F, Z)
     assert suite.passed
 
 
@@ -192,7 +192,7 @@ def test_weyl_continuity_spin_family():
     rng = np.random.default_rng(2)
     F = separable(g, 0.2 * rng.standard_normal(3), SIGMA_X)
     G = separable(g, 0.2 * rng.standard_normal(3), SIGMA_X)
-    suite = verify_weyl_continuity(basis, F, G, n_samples=100, m=basis.n_max - 4)
+    suite = verify_weyl_continuity(basis, F, G, m=basis.n_max - 4)
     assert suite.passed
 
 
@@ -208,7 +208,7 @@ def test_weyl_checks_above_dense_cap():
     F = FormFactor(g, 0.1 * np.array([1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.2]))
     G = FormFactor(g, 0.1 * np.array([0.9, 0.7, 0.7, 0.4, 0.5, 0.2, 0.3]))
     transforms = verify_weyl_transforms(basis, F, G, m=1)
-    continuity = verify_weyl_continuity(basis, F, G, n_samples=20, m=1)
+    continuity = verify_weyl_continuity(basis, F, G, m=1)
     for suite in (transforms, continuity):
         assert suite.passed
         assert not any(r.skipped for r in suite.results)

@@ -69,7 +69,7 @@ def test_basis_count_stars_and_bars():
 
 def test_basis_cap():
     with pytest.raises(ResourceError):
-        build_basis(grid_of(np.linspace(1, 2, 30)), SpinSpace(2), 6, max_states=10_000)
+        build_basis(grid_of(np.linspace(1, 2, 30)), SpinSpace(2), 6)
 
 
 def test_basis_enumeration_order_and_index_maps():
@@ -367,7 +367,7 @@ def test_builder_return_types(name):
     elif kind == "ndarray":
         assert isinstance(X, np.ndarray)
     else:
-        assert isinstance(X, Operator)
+        assert isinstance(X, Operator) and X.matrix.format == "csr"
         X = X.dense()
         assert isinstance(X, np.ndarray)
     assert X.shape == (basis.dim, basis.dim)
@@ -382,6 +382,9 @@ DTYPE_CASES = {
 # Real on every case: dgamma and parity take no form factor, and the
 # blocks F_i^* F_i = |v_i|^2 B^* B of theta0 are real matrices here.
 ALWAYS_REAL = {"dgamma", "parity", "theta0"}
+# Real also on sigma_y with a real profile: theta1's blocks F_r^* F_q are
+# real multiples of sigma_y^* sigma_y = 1.
+REAL_ON_SIGMA_Y = {"theta1", "t_op"}
 DTYPE_BUILDERS = [
     "annihilate", "field", "dgamma", "parity", "theta0", "theta1", "t_op",
     "g_op", "xi", "h_reg", "h_cutoff", "h_renormalized", "weyl",
@@ -398,7 +401,11 @@ def test_builder_dtype_follows_data(name, case):
     F = separable(grid, np.multiply([0.0, 0.4, 0.3], phases), B_F)
     X = RETURN_KINDS[name][1](basis, F, _spec(grid, B_spec, phases))
     X = X.matrix if isinstance(X, Operator) else X
-    real = case == "real" or name in ALWAYS_REAL
+    real = (
+        case == "real"
+        or name in ALWAYS_REAL
+        or (case == "sigma_y" and name in REAL_ON_SIGMA_Y)
+    )
     assert X.dtype == (np.float64 if real else np.complex128)
 
 

@@ -286,7 +286,7 @@ def test_verify_ibc_bounds_zero_case():
     g = grid_of([1.5, 3.0])
     basis = build_basis(g, SpinSpace(2), 3)
     Z = zero_form_factor(g, 2)
-    suite = verify_ibc_bounds(basis, Z, Z, 1.0, 1.5, n_samples=20)
+    suite = verify_ibc_bounds(basis, Z, Z, 1.0, 1.5)
     assert suite.passed
     assert suite.worst() == 0.0
 
@@ -299,7 +299,7 @@ def test_verify_ibc_bounds_random(s):
     vhi = np.where(g.omegas > 1.0, 0.6 * rng.standard_normal(3), 0.0)
     F = separable(g, vhi, SIGMA_MINUS)
     V = random_ff(g, 2, rng, scale=0.4)
-    suite = verify_ibc_bounds(basis, F, V, 1.0, s, n_samples=40)
+    suite = verify_ibc_bounds(basis, F, V, 1.0, s)
     assert suite.passed
 
 
@@ -307,6 +307,6 @@ def test_verify_ibc_bounds_skips_domain_checks_without_nilpotency():
     g = grid_of([1.5, 3.0])
     basis = build_basis(g, SpinSpace(2), 3)
     F = separable(g, [0.5, 0.5], SIGMA_X)
-    suite = verify_ibc_bounds(basis, F, F, 1.0, 1.5, n_samples=10)
+    suite = verify_ibc_bounds(basis, F, F, 1.0, 1.5)
     skipped = [r for r in suite.results if r.skipped]
     assert {r.name for r in skipped} == {"ir_sector_invariance", "fractional_domain_bound"}

@@ -47,7 +47,7 @@ def residuals(solver, A_dense, rng, n=4):
 def test_dense_path_matches_inverse(ex2_operators):
     basis, H_ren, _, totals = ex2_operators
     rng = np.random.default_rng(0)
-    solver = StructuredResolvent(H_ren.tocsr(), 1j, totals)
+    solver = StructuredResolvent(H_ren.matrix, 1j, totals)
     A = H_ren.dense() - 1j * np.eye(basis.dim)
     fwd, adj = residuals(solver, A, rng)
     assert fwd <= 1e-12 and adj <= 1e-12
@@ -60,7 +60,7 @@ def test_structured_paths_forced(ex2_operators, which, monkeypatch):
     rng = np.random.default_rng(1)
     monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 64)
     monkeypatch.setattr(solvers, "SCHUR_KEPT_CAP", 400)
-    solver = StructuredResolvent(H.tocsr(), 1j, totals)
+    solver = StructuredResolvent(H.matrix, 1j, totals)
     kinds = {type(s).__name__ for _, s in solver.parts}
     assert len(kinds) > 1  # several strategies exercised
     A = H.dense() - 1j * np.eye(basis.dim)
@@ -82,7 +82,7 @@ def test_sparse_lu_path_on_scalar_field_hamiltonian(monkeypatch):
     basis, H, totals = scalar_field_operator()
     monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 8)
     monkeypatch.setattr(solvers, "SCHUR_KEPT_CAP", 10)
-    solver = StructuredResolvent(H.tocsr(), 1j, totals)
+    solver = StructuredResolvent(H.matrix, 1j, totals)
     [(idx, part)] = solver.parts
     assert isinstance(part, solvers._SparseLUSolve) and len(idx) == basis.dim
     rng = np.random.default_rng(2)
@@ -130,7 +130,7 @@ def assert_block_matches_columns(solver, n, seed):
 
 def test_block_solves_match_columns_sparse_lu(ex2_operators):
     basis, H_ren, _, totals = ex2_operators
-    solver = StructuredResolvent(H_ren.tocsr(), 1j, totals)
+    solver = StructuredResolvent(H_ren.matrix, 1j, totals)
     [(_, part)] = solver.parts
     assert isinstance(part, solvers._SparseLUSolve)
     assert_block_matches_columns(part, basis.dim, 3)
@@ -141,7 +141,7 @@ def test_block_solves_match_columns_schur(ex2_operators, monkeypatch):
     basis, H_ren, _, totals = ex2_operators
     monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 64)
     monkeypatch.setattr(solvers, "SCHUR_KEPT_CAP", 400)
-    solver = StructuredResolvent(H_ren.tocsr(), 1j, totals)
+    solver = StructuredResolvent(H_ren.matrix, 1j, totals)
     schur = [(idx, part) for idx, part in solver.parts if isinstance(part, solvers._SchurSolve)]
     assert schur
     for idx, part in schur:
@@ -180,11 +180,11 @@ def test_scalar_field_component_above_cap_takes_sparse_lu():
     grid, profile = power_law_grid(-0.5, 1.0, 8.0, 4)
     basis = build_basis(grid, SpinSpace(1), 20)
     H = h_reg(basis, np.zeros((1, 1)), FormFactor(grid, np.asarray(profile, dtype=complex)))
-    components, _ = solvers.split_components(H.tocsr())
+    components, _ = solvers.split_components(H.matrix)
     big = [idx for idx in components if len(idx) > solvers.DENSE_SOLVE_CAP]
     assert len(big) == 1
-    assert H.tocsr()[big[0]][:, big[0]].nnz <= solvers.GMRES_MIN_ROW_NNZ * len(big[0])
-    solver = StructuredResolvent(H.tocsr(), 1j, basis.totals.astype(np.int64))
+    assert H.matrix[big[0]][:, big[0]].nnz <= solvers.GMRES_MIN_ROW_NNZ * len(big[0])
+    solver = StructuredResolvent(H.matrix, 1j, basis.totals.astype(np.int64))
     [(idx, part)] = solver.parts
     assert isinstance(part, solvers._SparseLUSolve) and len(idx) == basis.dim
 
