@@ -3,9 +3,11 @@
 The cutoff studies need resolvent *actions* at dimensions far beyond
 the dense cap.  The coupling graph of a truncated spin-boson generator
 splits into independent components (dead modes, spin-polarized sectors,
-decoupled singletons); ``split_components`` finds them for both the
-resolvent and ``renorm.ground_energy``.  A component above
-``DENSE_SOLVE_CAP`` takes one of two special paths:
+decoupled singletons); ``split_components`` labels and groups them.  A
+Hamiltonian is labeled once, in the ``structure`` pass that
+``fock.Operator`` keeps: ``renorm.ground_energy`` groups those labels and
+``renorm.convergence_study`` merges two (``merge_labels``).  A component
+above ``DENSE_SOLVE_CAP`` takes one of two special paths:
 
 * Schur: when its top boson sector is internally diagonal (field terms
   change the sector), that sector is eliminated exactly and a dense
@@ -177,21 +179,45 @@ def _component_solver(A: sp.csr_matrix, totals: np.ndarray):
     return None
 
 
-def split_components(M: sp.csr_matrix):
-    """Connected components of the off-diagonal pattern of ``M``.
+def component_labels(M: sp.spmatrix) -> np.ndarray:
+    """Labels of the weak components of the nonzero pattern of ``M`` (a
+    stored zero is no edge), numbered in order of their smallest index."""
+    pattern = abs(M)  # csgraph takes a real matrix
+    pattern.eliminate_zeros()
+    return connected_components(pattern, directed=True, connection="weak")[1]
 
-    Returns the index arrays of the components with two or more states,
-    each ascending and ordered by their smallest index, and one ascending
-    array of the singletons (states that ``M`` couples to no other).
-    """
-    _, labels = connected_components(abs(M), directed=True, connection="weak")
+
+def merge_labels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Component labels of the union of two patterns with labels ``a`` and
+    ``b``: the graph joins a_i to b_i for every state i.  Each component
+    holds an ``a`` label, so it is still numbered by its smallest index."""
+    n_a, n_b = a.max() + 1, b.max() + 1
+    links = sp.csr_matrix((np.ones(len(a)), (a, n_a + b)), shape=(n_a + n_b, n_a + n_b))
+    return component_labels(links)[a]
+
+
+def group_components(labels: np.ndarray):
+    """Index arrays of the components of two or more states, each ascending
+    and in the order of ``labels`` (numbered by their smallest index), and
+    one ascending array of the singletons."""
     sizes = np.bincount(labels)
     single = sizes[labels] == 1
     multi = np.nonzero(~single)[0]
-    # labels number the components in order of their smallest index
     order = multi[np.argsort(labels[multi], kind="stable")]
     components = np.split(order, np.cumsum(sizes[sizes > 1]))[:-1]
     return components, np.nonzero(single)[0]
+
+
+def split_components(M: sp.spmatrix):
+    """The components of the coupling graph of ``M`` and its singletons."""
+    return group_components(component_labels(M))
+
+
+def structure(M: sp.csr_matrix) -> tuple[float, np.ndarray]:
+    """One structural pass over a square sparse ``M``: its Hermiticity
+    defect max|M - M^*| and its ``component_labels``."""
+    d = (M - M.conj().T).tocsr()
+    return (float(np.max(np.abs(d.data))) if d.nnz else 0.0), component_labels(M)
 
 
 class StructuredResolvent:

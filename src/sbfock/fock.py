@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import _solvers
 from .errors import NumericError, ParameterError, ResourceError, StructuralError
 from .model import FormFactor, ModeGrid, SpinSpace
 
@@ -160,6 +161,12 @@ class Operator:
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
+
+    @cached_property
+    def structure(self) -> tuple[float, np.ndarray]:
+        """``_solvers.structure`` of the matrix, computed once and kept
+        (the defect and the O(dim) component labels)."""
+        return _solvers.structure(self.matrix)
 
 
 def build_basis(grid: ModeGrid, spin: SpinSpace, n_max: int) -> OccupationBasis:

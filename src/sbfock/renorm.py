@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _solvers
-from ._solvers import StructuredResolvent, split_components
+from ._solvers import StructuredResolvent, group_components, merge_labels
 from .dressing import weyl, weyl_action
 from .errors import NumericError, ParameterError, StructuralError
 from .fock import (
@@ -206,11 +206,6 @@ def opnorm(A) -> float:
     return _top_singular(D, v0, NORM_TOL, NORM_MAX_RESTARTS)
 
 
-def _hermiticity_defect(mat: sp.csr_matrix) -> float:
-    d = (mat - mat.conj().T).tocsr()
-    return float(np.max(np.abs(d.data))) if d.nnz else 0.0
-
-
 def _certified_above(sub: sp.csr_matrix, mu: float, totals: np.ndarray) -> bool:
     """True when inertia proves lambda_min(sub) > mu (see ``ground_energy``):
     LAPACK ``potrf`` factors sub - mu, or its Schur complement, with the
@@ -234,7 +229,10 @@ def _certified_above(sub: sp.csr_matrix, mu: float, totals: np.ndarray) -> bool:
 def ground_energy(H: Operator, seed: int = 0) -> float:
     """Smallest eigenvalue, as a Python float.
 
-    The coupling graph is split into its connected components.  The
+    ``H.structure`` gives the Hermiticity defect, checked against
+    ``HERMITICITY_TOL``, and the components of the nonzero pattern of H,
+    on which (H + H^*)/2 is split (coarser only where an entry cancels
+    exactly, which leaves lambda_min unchanged).  The
     search starts from the smallest singleton diagonal entry and visits
     the other components in ascending order of their Gershgorin lower
     bound, stopping at the first bound at or above the running minimum mu.
@@ -252,12 +250,12 @@ def ground_energy(H: Operator, seed: int = 0) -> float:
     solved densely at or below the cap and by Lanczos (``eigsh``, started
     from a vector drawn from ``seed``) above it.
     """
-    defect = _hermiticity_defect(H.matrix)
+    defect, labels = H.structure
     if defect > HERMITICITY_TOL:
         raise StructuralError(f"operator is not self-adjoint (defect {defect:.3e})")
     mat = H.matrix
     sym = ((mat + mat.conj().T) * 0.5).tocsr()
-    components, singletons = split_components(sym)
+    components, singletons = group_components(labels)
     diag = sym.diagonal().real
     abs_rows = np.asarray(abs(sym).sum(axis=1)).ravel()
     gersh = diag - (abs_rows - np.abs(diag))
@@ -425,6 +423,9 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> Converg
     D = (H_Lambda - z)^{-1} - (H_lim - z)^{-1} = R_Lambda (H_lim - H_Lambda) R_lim
     is block-diagonal over the connected components of
     |H_lim| + |H_Lambda|, so D_Lambda is the largest of the block norms.
+    Each operator's defect and labels come from one ``Operator.structure``
+    pass; the blocks are merged from the labels of H_lim and H_Lambda, so
+    no sum is formed.  H_lim's defect is checked here before ``ground_energy``.
     On a singleton the block is the scalar
     1/(h_Lambda,ii - z) - 1/(h_lim,ii - z); s is the largest of these,
     computed exactly (0 without singletons).  Every other block c is
@@ -452,11 +453,12 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> Converg
         raise StructuralError("schedule must be strictly increasing")
     basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
     H_lim = h_renormalized(basis, spec)
-    defect = _hermiticity_defect(H_lim.matrix)
+    defect, labels_lim = H_lim.structure
     if defect > 1e-12 * max(1.0, spec.lam):
         raise NumericError(f"renormalized operator hermiticity defect {defect:.3e}")
     totals = basis.lift(basis.totals)
     lim = H_lim.matrix
+    r_lim = 1.0 / (lim.diagonal() - STUDY_Z)  # singleton blocks of (H_lim - z)^{-1}
     g_lim = ground_energy(H_lim, seed=seed)
     report = ConvergenceReport(schedule=schedule)
     rng = np.random.default_rng(seed)
@@ -465,14 +467,13 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> Converg
     for Lam in schedule:
         H_L, E_L = h_cutoff(basis, spec, Lam)
         cut = H_L.matrix
-        components, singletons = split_components(abs(lim) + abs(cut))
-        steps = 1.0 / (cut.diagonal()[singletons] - STUDY_Z) - 1.0 / (
-            lim.diagonal()[singletons] - STUDY_Z
-        )
+        defect_L, labels_L = H_L.structure
+        components, singletons = group_components(merge_labels(labels_lim, labels_L))
+        steps = 1.0 / (cut.diagonal()[singletons] - STUDY_Z) - r_lim[singletons]
         dist = float(np.max(np.abs(steps), initial=0.0))
         bounds = []
         if components:
-            bounds = _block_bounds(lim, cut, STUDY_Z, components, defect, _hermiticity_defect(cut))
+            bounds = _block_bounds(lim, cut, STUDY_Z, components, defect, defect_L)
         kept = [idx for idx, u in zip(components, bounds) if u > dist]
         if kept:
             U = np.sort(np.concatenate(kept))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import astuple
 from pathlib import Path
 
@@ -414,16 +415,26 @@ def test_error_inside_command_exits_two(tmp_path, capsys, command, section, key,
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_benchmark_tracer_binds_verify_spans(tmp_path):
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("verify", {"ibc.verify_ibc_bounds": None, "ibc.theta1": None, "dressing.verify_weyl": None}),
+        # one ground energy per cutoff (three) and one of H_lim
+        ("converge", {"renorm.ground_energy": 4, "renorm.h_renormalized": 1}),
+    ],
+    ids=["verify", "converge"],
+)
+def test_benchmark_tracer_binds_verify_spans(tmp_path, command, expected):
     # the benchmark's tracer wraps sbfock functions by name; a rename must
-    # fail here rather than only in a traced benchmark run
+    # fail here rather than only in a traced benchmark run.  ``expected``
+    # maps a span name to its count (None: at least one)
     spans = tmp_path / "spans.json"
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     cmd = [
         sys.executable,
         "perfbench/tracer.py",
         str(spans),
-        "verify",
+        command,
         "--config",
         "configs/ex2_default.json",
         "--out",
@@ -431,8 +442,10 @@ def test_benchmark_tracer_binds_verify_spans(tmp_path):
     ]
     proc = subprocess.run(cmd, cwd=REPO, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    names = set(json.loads(spans.read_text())["names"])
-    assert {"ibc.verify_ibc_bounds", "ibc.theta1", "dressing.verify_weyl"} <= names, names
+    doc = json.loads(spans.read_text())
+    counts = Counter(doc["names"][span[0]] for span in doc["spans"])
+    for name, n in expected.items():
+        assert counts[name] > 0 if n is None else counts[name] == n, counts
 
 
 def test_benchmark_dense_distance_check_passes(tmp_path, monkeypatch):

@@ -626,6 +626,38 @@ def test_convergence_study_mixed_pruned_and_visited_blocks(monkeypatch):
     assert sizes and all(0 < n < basis.dim for n in sizes)
 
 
+def test_convergence_study_one_structural_pass_per_operator(monkeypatch):
+    # H_lim and each H_Lambda get one structural pass (one defect, one
+    # labeling) on their own matrix; no |H_lim| + |H_Lambda| is labeled
+    spec = rotating_wave_spec()
+    dim = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max).dim
+    schedule = [2.0, 8.0, 16.0]
+    built, passes, labeled = [], [], []
+
+    def recording(fn, seen, key):
+        def wrapped(*args):
+            out = fn(*args)
+            seen.append(key(args, out))
+            return out
+
+        return wrapped
+
+    def first_arg(args, out):
+        return args[0]
+
+    solvers = renorm._solvers
+    monkeypatch.setattr(
+        renorm, "h_renormalized", recording(renorm.h_renormalized, built, lambda a, H: H.matrix)
+    )
+    monkeypatch.setattr(renorm, "h_cutoff", recording(renorm.h_cutoff, built, lambda a, out: out[0].matrix))
+    monkeypatch.setattr(solvers, "structure", recording(solvers.structure, passes, first_arg))
+    monkeypatch.setattr(solvers, "component_labels", recording(solvers.component_labels, labeled, first_arg))
+    convergence_study(spec, schedule)
+    full = [M for M in labeled if M.shape[0] == dim]
+    assert len(built) == len(passes) == len(full) == 1 + len(schedule)
+    assert all(a is b is c for a, b, c in zip(built, passes, full))
+
+
 def random_block_pair(rng, components, n, kind, dtype, skew, z):
     """H_lim and H_L with the block pattern ``components``; H_lim carries
     a real antisymmetric part of size ``skew``.  ``tight``: the spectrum of

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,9 +7,12 @@ import scipy.sparse as sp
 import sbfock._solvers as solvers
 from sbfock import CouplingDecomposition, ModeGrid, SIGMA_MINUS, SIGMA_Z, separable, zero_form_factor
 from sbfock._solvers import StructuredResolvent
+from sbfock.cli import parse_config
 from sbfock.errors import NumericError
 from sbfock.fock import SpinSpace, build_basis
-from sbfock.renorm import HamiltonianSpec, h_reg, h_renormalized
+from sbfock.renorm import HamiltonianSpec, h_cutoff, h_reg, h_renormalized
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -200,3 +205,51 @@ def test_split_components_weak_connectivity_and_order():
     components, singletons = solvers.split_components(M.tocsr())
     assert [idx.tolist() for idx in components] == [[0, 6, 8], [2, 3, 9], [4, 5]]
     assert singletons.tolist() == [1, 7]
+
+
+def ex2_default_pair():
+    # the shipped ex2 H_lim and its H_Lambda at Lambda = 4
+    spec, _, _ = parse_config(CONFIGS / "ex2_default.json")
+    basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
+    return h_renormalized(basis, spec).matrix, h_cutoff(basis, spec, 4.0)[0].matrix
+
+
+def one_triangle_pair():
+    # A couples only above its diagonal, so only weak connectivity joins
+    # {0, 6, 8}; B adds 9 to A's {2, 3}, joins {4, 5, 7} and leaves 1 alone
+    n = 10
+    A = sp.lil_matrix((n, n))
+    A.setdiag(np.arange(1.0, n + 1))
+    for i, j in [(6, 8), (0, 6), (2, 3)]:
+        A[i, j] = 0.5
+    B = sp.lil_matrix((n, n), dtype=complex)
+    B.setdiag(-np.arange(1.0, n + 1))
+    for i, j in [(4, 5), (7, 5), (9, 3)]:
+        B[i, j] = 0.25j
+    return A.tocsr(), B.tocsr()
+
+
+def explicit_zero_pair():
+    # A stores a zero between the blocks {0, 1} and {2, 3}: no edge
+    A = sp.csr_matrix(
+        (np.array([1.0, 0.5, 0.5, 1.0, 0.0, 1.0, 0.5, 0.5, 1.0]),
+         np.array([0, 1, 0, 1, 2, 2, 3, 2, 3]),
+         np.array([0, 2, 5, 7, 9])),
+        shape=(4, 4),
+    )
+    assert A.nnz == 9 and A[1, 2] == 0
+    B = sp.identity(4, format="csr") * 2.0
+    return A, B
+
+
+@pytest.mark.parametrize("make", [ex2_default_pair, one_triangle_pair, explicit_zero_pair])
+def test_merged_labels_match_split_of_abs_sum(make):
+    A, B = make()
+    merged = solvers.merge_labels(solvers.component_labels(A), solvers.component_labels(B))
+    components, singletons = solvers.group_components(merged)
+    expected, expected_singletons = solvers.split_components(abs(A) + abs(B))
+    assert len(components) == len(expected)
+    for got, want in zip(components, expected):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(singletons, expected_singletons)
+    assert len(components) + len(singletons) < A.shape[0]  # some states were joined
