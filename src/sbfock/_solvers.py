@@ -4,8 +4,8 @@ The cutoff studies need resolvent *actions* at dimensions far beyond
 the dense cap.  The coupling graph of a truncated spin-boson generator
 splits into independent components (dead modes, spin-polarized sectors,
 decoupled singletons); ``split_components`` labels and groups them.  A
-Hamiltonian is labeled once, in the ``structure`` pass that
-``fock.Operator`` keeps: ``renorm.ground_energy`` groups those labels and
+Hamiltonian is made self-adjoint (``hermitian_part``) and labeled once,
+by ``fock.Operator``: ``renorm.ground_energy`` groups those labels and
 ``renorm.convergence_study`` merges two (``merge_labels``).  A component
 above ``DENSE_SOLVE_CAP`` takes one of two special paths:
 
@@ -213,11 +213,18 @@ def split_components(M: sp.spmatrix):
     return group_components(component_labels(M))
 
 
-def structure(M: sp.csr_matrix) -> tuple[float, np.ndarray]:
-    """One structural pass over a square sparse ``M``: its Hermiticity
-    defect max|M - M^*| and its ``component_labels``."""
-    d = (M - M.conj().T).tocsr()
-    return (float(np.max(np.abs(d.data))) if d.nnz else 0.0), component_labels(M)
+def hermitian_part(M: sp.spmatrix) -> tuple[sp.csr_matrix, float]:
+    """The Hermitian part (M + M^*)/2 of a square sparse ``M``, in canonical
+    CSR form (sorted indices, no duplicates), and the defect max|M - M^*|.
+    With defect 0 it is M itself, canonicalized in place."""
+    M = M.tocsr()
+    M.sum_duplicates()
+    adj = M.conj(copy=False).T.tocsr()
+    defect = float(np.max(np.abs((M - adj).data), initial=0.0))
+    if defect:
+        M = M + adj
+        M.data *= 0.5
+    return M, defect
 
 
 class StructuredResolvent:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,6 +33,8 @@ from .model import FormFactor, ModeGrid, SpinSpace
 
 #: Cap on the number of enumerated states.
 STATE_CAP = 2_000_000
+#: Largest Hermiticity defect max|M - M^*| of an ``Operator``'s matrix.
+HERMITICITY_TOL = 1e-10
 
 
 @lru_cache(maxsize=None)
@@ -148,7 +150,11 @@ class OccupationBasis:
 
 @dataclass
 class Operator:
-    """A Hamiltonian: its CSR matrix with the basis it is written in."""
+    """A Hamiltonian, self-adjoint by construction: its CSR matrix M with
+    the basis it is written in.  A defect max|M - M^*| above
+    ``HERMITICITY_TOL`` raises ``StructuralError``; a smaller one is kept
+    as ``defect``, ``matrix`` holds the ``_solvers.hermitian_part`` of M
+    and ``labels`` the ``_solvers.component_labels`` of that."""
 
     basis: OccupationBasis
     matrix: sp.csr_matrix
@@ -158,15 +164,13 @@ class Operator:
             raise StructuralError(
                 f"matrix shape {self.matrix.shape} does not match basis dim {self.basis.dim}"
             )
+        self.matrix, self.defect = _solvers.hermitian_part(self.matrix)
+        if self.defect > HERMITICITY_TOL:
+            raise StructuralError(f"operator is not self-adjoint (defect {self.defect:.3e})")
+        self.labels = _solvers.component_labels(self.matrix)
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    @cached_property
-    def structure(self) -> tuple[float, np.ndarray]:
-        """``_solvers.structure`` of the matrix, computed once and kept
-        (the defect and the O(dim) component labels)."""
-        return _solvers.structure(self.matrix)
 
 
 def build_basis(grid: ModeGrid, spin: SpinSpace, n_max: int) -> OccupationBasis:

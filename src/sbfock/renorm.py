@@ -49,7 +49,6 @@ from .model import (
 )
 from .reports import CheckResult, CheckSuite
 
-HERMITICITY_TOL = 1e-10
 TRANSFORM_CHECK_DIM = 64  # dimension of the transformed-operator identity checks
 
 # Fixed settings of ``opnorm``
@@ -101,13 +100,17 @@ class HamiltonianSpec:
         return self.coupling.spin_dim
 
 
-def h_reg(basis: OccupationBasis, S: np.ndarray, V: FormFactor) -> Operator:
-    """Regularized Hamiltonian S + dGamma(omega) + phi(V)."""
+def _reg_matrix(basis: OccupationBasis, S: np.ndarray, V: FormFactor) -> sp.csr_matrix:
+    """The CSR matrix of S + dGamma(omega) + phi(V)."""
     S = np.atleast_2d(np.asarray(S))
     if S.shape != (basis.spin.dim, basis.spin.dim):
         raise StructuralError("S shape does not match basis spin dimension")
-    mat = spin_operator(basis, S) + dgamma(basis, basis.grid.omegas) + field(basis, V)
-    return Operator(basis, mat)
+    return spin_operator(basis, S) + dgamma(basis, basis.grid.omegas) + field(basis, V)
+
+
+def h_reg(basis: OccupationBasis, S: np.ndarray, V: FormFactor) -> Operator:
+    """Regularized Hamiltonian S + dGamma(omega) + phi(V)."""
+    return Operator(basis, _reg_matrix(basis, S, V))
 
 
 def h_cutoff(basis: OccupationBasis, spec: HamiltonianSpec, Lam: float):
@@ -118,7 +121,7 @@ def h_cutoff(basis: OccupationBasis, spec: HamiltonianSpec, Lam: float):
     """
     V_L = uv_truncate(spec.coupling.total(), Lam)
     E_L = renorm_energy(V_L)
-    H_L = h_reg(basis, spec.S, V_L).matrix + spin_operator(basis, E_L)
+    H_L = _reg_matrix(basis, spec.S, V_L) + spin_operator(basis, E_L)
     return Operator(basis, H_L), E_L
 
 
@@ -129,7 +132,8 @@ def h_renormalized(basis: OccupationBasis, spec: HamiltonianSpec) -> Operator:
 
     With dressing (V_D != 0) the dense W (core) W^* is formed once and
     stored as CSR.  The result is independent of spec.lam up to truncation
-    effects.
+    effects.  A Hermiticity defect (rounding noise growing with lambda)
+    above 1e-12 max(1, lambda) raises ``NumericError``.
     """
     structure = check_structure(spec.coupling)
     for r in structure.results:
@@ -152,7 +156,11 @@ def h_renormalized(basis: OccupationBasis, spec: HamiltonianSpec) -> Operator:
         W = weyl(basis, dress)
         core = sp.csr_matrix(W @ (core @ W.conj().T))
     mat = spin_operator(basis, spec.S) + core - lam * sp.identity(basis.dim, format="csr")
-    return Operator(basis, mat)
+    del core  # one H_lim-sized matrix fewer while the Operator is built
+    H = Operator(basis, mat)
+    if H.defect > 1e-12 * max(1.0, lam):
+        raise NumericError(f"renormalized operator hermiticity defect {H.defect:.3e}")
+    return H
 
 
 # ------------------------------------------------------------- linear algebra
@@ -229,10 +237,7 @@ def _certified_above(sub: sp.csr_matrix, mu: float, totals: np.ndarray) -> bool:
 def ground_energy(H: Operator, seed: int = 0) -> float:
     """Smallest eigenvalue, as a Python float.
 
-    ``H.structure`` gives the Hermiticity defect, checked against
-    ``HERMITICITY_TOL``, and the components of the nonzero pattern of H,
-    on which (H + H^*)/2 is split (coarser only where an entry cancels
-    exactly, which leaves lambda_min unchanged).  The
+    H is split on ``H.labels``, the components of its nonzero pattern.  The
     search starts from the smallest singleton diagonal entry and visits
     the other components in ascending order of their Gershgorin lower
     bound, stopping at the first bound at or above the running minimum mu.
@@ -250,14 +255,10 @@ def ground_energy(H: Operator, seed: int = 0) -> float:
     solved densely at or below the cap and by Lanczos (``eigsh``, started
     from a vector drawn from ``seed``) above it.
     """
-    defect, labels = H.structure
-    if defect > HERMITICITY_TOL:
-        raise StructuralError(f"operator is not self-adjoint (defect {defect:.3e})")
     mat = H.matrix
-    sym = ((mat + mat.conj().T) * 0.5).tocsr()
-    components, singletons = group_components(labels)
-    diag = sym.diagonal().real
-    abs_rows = np.asarray(abs(sym).sum(axis=1)).ravel()
+    components, singletons = group_components(H.labels)
+    diag = mat.diagonal().real
+    abs_rows = np.asarray(abs(mat).sum(axis=1)).ravel()
     gersh = diag - (abs_rows - np.abs(diag))
     bounds = [float(np.min(gersh[idx])) for idx in components]
     totals = H.basis.lift(H.basis.totals)
@@ -267,7 +268,7 @@ def ground_energy(H: Operator, seed: int = 0) -> float:
         if bounds[c] >= best:
             break
         idx = components[c]
-        sub = sym[idx][:, idx].tocsr()
+        sub = mat[idx][:, idx].tocsr()
         if np.min(diag[idx]) > best and _certified_above(sub, best, totals[idx]):
             continue
         if len(idx) <= _solvers.DENSE_SOLVE_CAP:
@@ -364,18 +365,15 @@ class ConvergenceReport:
         return "PASS" if self.passed else "FAIL"
 
 
-def _block_bounds(H_lim, H_L, z: complex, components, defect_lim: float, defect_L: float):
+def _block_bounds(H_lim, H_L, z: complex, components):
     """Upper bounds u_c >= ||D_c||_2 on the diagonal blocks of
     D = (H_L - z)^{-1} - (H_lim - z)^{-1} = R_L (H_lim - H_L) R_lim over
-    ``components``, index arrays of blocks that both CSR operators leave
-    invariant; ``defect_*`` is max|H - H^*| of each.  Each 2-norm is
-    bounded by sqrt(||X||_1 ||X||_inf) of the entrywise |X|, and
-    u_c = min(B1, B2):
+    ``components``, index arrays of blocks that both self-adjoint CSR
+    operators leave invariant.  Each 2-norm is bounded by
+    sqrt(||X||_1 ||X||_inf) of the entrywise |X|, and u_c = min(B1, B2):
 
-    * B1 = ||dH_c|| / (g_L g_lim), dH = H_lim - H_L, with
-      g = |Im z| - n_c defect / 2 a lower bound of the smallest singular
-      value of H_c - z (n_c defect / 2 bounds the norm of the
-      skew-Hermitian part); infinite unless both g > 0;
+    * B1 = ||dH_c|| / |Im z|^2, dH = H_lim - H_L, since
+      ||(H - z)^{-1}|| <= 1 / |Im z| for self-adjoint H;
     * B2 = ||P_L |dH_c| P_lim|| / ((1 - x_L)(1 - x_lim)), the Neumann
       series bound, with P = diag 1/|h_ii - z|, O the off-diagonal part,
       x_L >= ||P_L O_L|| and x_lim >= ||O_lim P_lim||; infinite unless
@@ -389,15 +387,9 @@ def _block_bounds(H_lim, H_L, z: complex, components, defect_lim: float, defect_
         rows = np.maximum.reduceat(row_sums[order], starts)
         return np.sqrt(rows * np.maximum.reduceat(col_sums[order], starts))
 
-    def bounded(num, a, b):  # num / (a b), infinite unless a > 0 and b > 0
-        out = np.full(len(components), np.inf)
-        np.divide(num, a * b, out=out, where=(a > 0) & (b > 0))
-        return out
-
     abs_dH, abs_L, abs_lim = abs(H_lim - H_L), abs(H_L), abs(H_lim)
     ones = np.ones(H_lim.shape[0])
-    g_L, g_lim = (abs(z.imag) - sizes * defect / 2 for defect in (defect_L, defect_lim))
-    b1 = bounded(norm_bound(abs_dH @ ones, abs_dH.T @ ones), g_L, g_lim)
+    b1 = norm_bound(abs_dH @ ones, abs_dH.T @ ones) / z.imag**2
 
     h_L, h_lim = H_L.diagonal(), H_lim.diagonal()
     p_L, p_lim = 1.0 / np.abs(h_L - z), 1.0 / np.abs(h_lim - z)
@@ -405,7 +397,9 @@ def _block_bounds(H_lim, H_L, z: complex, components, defect_lim: float, defect_
     x_L = norm_bound(p_L * (abs_L @ ones - a_L), abs_L.T @ p_L - a_L * p_L)
     x_lim = norm_bound(abs_lim @ p_lim - a_lim * p_lim, p_lim * (abs_lim.T @ ones - a_lim))
     num = norm_bound(p_L * (abs_dH @ p_lim), p_lim * (abs_dH.T @ p_L))
-    b2 = bounded(num, 1 - x_L, 1 - x_lim)
+    gap_L, gap_lim = 1 - x_L, 1 - x_lim
+    b2 = np.full(len(components), np.inf)
+    np.divide(num, gap_L * gap_lim, out=b2, where=(gap_L > 0) & (gap_lim > 0))
     return np.minimum(b1, b2)
 
 
@@ -423,17 +417,14 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> Converg
     D = (H_Lambda - z)^{-1} - (H_lim - z)^{-1} = R_Lambda (H_lim - H_Lambda) R_lim
     is block-diagonal over the connected components of
     |H_lim| + |H_Lambda|, so D_Lambda is the largest of the block norms.
-    Each operator's defect and labels come from one ``Operator.structure``
-    pass; the blocks are merged from the labels of H_lim and H_Lambda, so
-    no sum is formed.  H_lim's defect is checked here before ``ground_energy``.
-    On a singleton the block is the scalar
+    The blocks are merged from ``labels`` of H_lim and H_Lambda, so no sum
+    is formed.  On a singleton the block is the scalar
     1/(h_Lambda,ii - z) - 1/(h_lim,ii - z); s is the largest of these,
     computed exactly (0 without singletons).  Every other block c is
     bounded by u_c = min(B1, B2) without a solve (see ``_block_bounds``):
-    B1 from ||(H - z)^{-1}|| <= 1/|Im z| for self-adjoint H, corrected by
-    the Hermiticity defect of each operator, and B2 from the Neumann
-    series about the diagonals.  A block with u_c <= s cannot attain the
-    maximum and is pruned.  On the union U of the remaining blocks the
+    B1 from ||(H - z)^{-1}|| <= 1/|Im z| for self-adjoint H, and B2 from
+    the Neumann series about the diagonals.  A block with u_c <= s cannot
+    attain the maximum and is pruned.  On the union U of the remaining blocks the
     largest singular value of D_U is the square root of the largest
     eigenvalue of D_U^* D_U, computed by Lanczos (ARPACK ``eigsh``) with
     both resolvents built on U only, and started from ``probe[U]`` for
@@ -453,9 +444,6 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> Converg
         raise StructuralError("schedule must be strictly increasing")
     basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
     H_lim = h_renormalized(basis, spec)
-    defect, labels_lim = H_lim.structure
-    if defect > 1e-12 * max(1.0, spec.lam):
-        raise NumericError(f"renormalized operator hermiticity defect {defect:.3e}")
     totals = basis.lift(basis.totals)
     lim = H_lim.matrix
     r_lim = 1.0 / (lim.diagonal() - STUDY_Z)  # singleton blocks of (H_lim - z)^{-1}
@@ -467,13 +455,12 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> Converg
     for Lam in schedule:
         H_L, E_L = h_cutoff(basis, spec, Lam)
         cut = H_L.matrix
-        defect_L, labels_L = H_L.structure
-        components, singletons = group_components(merge_labels(labels_lim, labels_L))
+        components, singletons = group_components(merge_labels(H_lim.labels, H_L.labels))
         steps = 1.0 / (cut.diagonal()[singletons] - STUDY_Z) - r_lim[singletons]
         dist = float(np.max(np.abs(steps), initial=0.0))
         bounds = []
         if components:
-            bounds = _block_bounds(lim, cut, STUDY_Z, components, defect, defect_L)
+            bounds = _block_bounds(lim, cut, STUDY_Z, components)
         kept = [idx for idx, u in zip(components, bounds) if u > dist]
         if kept:
             U = np.sort(np.concatenate(kept))
@@ -583,9 +570,8 @@ def vanhove_demo(
         dress = FormFactor(grid, v_n.values[:, 0, 0] / grid.omegas)
         shift = bs_norm(v_n, 1.0) ** 2
         H_free = h_reg(basis, np.zeros((1, 1)), v_n)
-        H_shifted = H_free.matrix + shift * sp.identity(basis.dim, format="csr")
         apply_W, _ = weyl_action(basis, dress)
-        solver = StructuredResolvent(H_shifted, STUDY_Z, totals)
+        solver = StructuredResolvent(H_free.matrix, STUDY_Z - shift, totals)
         # Y = W[:, sel], so (W^* R W)[sel, sel] = Y^H R Y; W acts column by
         # column (a block expm_multiply is no faster at these sizes)
         Y = np.column_stack([apply_W(e) for e in units.T])

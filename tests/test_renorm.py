@@ -274,9 +274,62 @@ def test_ground_energy_trivial_and_guards():
     g = grid_of([1.0, 2.0])
     basis = build_basis(g, SpinSpace(1), 3)
     assert ground_energy(Operator(basis, dgamma(basis, g.omegas))) == pytest.approx(0.0, abs=1e-12)
-    bad = Operator(basis, sp.csr_matrix(np.triu(np.ones((basis.dim, basis.dim))) + 0j))
     with pytest.raises(StructuralError):
-        ground_energy(bad)
+        Operator(basis, sp.csr_matrix(np.triu(np.ones((basis.dim, basis.dim))) + 0j))
+
+
+def test_operator_stores_its_hermitian_part():
+    # a defect below HERMITICITY_TOL is kept as ``defect``; the stored
+    # matrix is (M + M^*)/2 exactly, and its ground energy is that of
+    # the Hermitian part
+    rng = np.random.default_rng(3)
+    basis = build_basis(grid_of([1.0, 2.0]), SpinSpace(2), 3)
+    n = basis.dim
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    anti = rng.standard_normal((n, n))
+    M = (X + X.conj().T) / 2 + 0.5e-13 * (anti - anti.T) / np.max(np.abs(anti - anti.T))
+    defect = np.max(np.abs(M - M.conj().T))
+    assert 0.9e-13 < defect < 1.1e-13
+    H = Operator(basis, sp.csr_matrix(M))
+    assert H.defect == defect
+    assert np.max(np.abs(H.matrix - H.matrix.conj().T)) == 0.0
+    assert ground_energy(H) == np.linalg.eigvalsh((M + M.conj().T) / 2)[0]
+
+
+def test_operator_matrix_is_canonical_csr():
+    # the shipped ex2_default H_lim is stored with sorted indices and no
+    # duplicates, so abs() does not reorder it in place
+    spec, _, _ = parse_config(REPO / "configs" / "ex2_default.json")
+    H = h_renormalized(build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max), spec)
+    assert H.basis.dim == 1848
+    indices = H.matrix.indices.copy()
+    abs(H.matrix)
+    assert np.array_equal(H.matrix.indices, indices)
+    assert np.max(np.abs(H.matrix - H.matrix.conj().T)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "defect, error, code",
+    [
+        pytest.param(1e-11, NumericError, 3, id="lambda_relative_gate"),
+        pytest.param(1e-9, StructuralError, 2, id="hermiticity_tol"),
+    ],
+)
+def test_renormalized_operator_defect_gates(tmp_path, monkeypatch, defect, error, code):
+    # ex2_default has lambda = 1: a defect above 1e-12 max(1, lambda) is a
+    # numeric error, one above HERMITICITY_TOL a structural one; xi gets
+    # an antisymmetric part of that defect between the first two states
+    from sbfock.cli import main
+
+    config = REPO / "configs" / "ex2_default.json"
+    spec, _, _ = parse_config(config)
+    assert spec.lam == 1.0
+    xi = renorm.xi
+    skew = lambda n: sp.csr_matrix(([defect / 2, -defect / 2], ([0, 1], [1, 0])), shape=(n, n))
+    monkeypatch.setattr(renorm, "xi", lambda basis, *args: xi(basis, *args) + skew(basis.dim))
+    with pytest.raises(error):
+        convergence_study(spec, [2.0])
+    assert main(["converge", "--config", str(config), "--out", str(tmp_path / "out")]) == code
 
 
 def test_ground_energy_large_path_matches_closed_form():
@@ -627,8 +680,8 @@ def test_convergence_study_mixed_pruned_and_visited_blocks(monkeypatch):
 
 
 def test_convergence_study_one_structural_pass_per_operator(monkeypatch):
-    # H_lim and each H_Lambda get one structural pass (one defect, one
-    # labeling) on their own matrix; no |H_lim| + |H_Lambda| is labeled
+    # H_lim and each H_Lambda get one Hermitian part and one labeling of
+    # their own matrix; no |H_lim| + |H_Lambda| is labeled
     spec = rotating_wave_spec()
     dim = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max).dim
     schedule = [2.0, 8.0, 16.0]
@@ -650,7 +703,9 @@ def test_convergence_study_one_structural_pass_per_operator(monkeypatch):
         renorm, "h_renormalized", recording(renorm.h_renormalized, built, lambda a, H: H.matrix)
     )
     monkeypatch.setattr(renorm, "h_cutoff", recording(renorm.h_cutoff, built, lambda a, out: out[0].matrix))
-    monkeypatch.setattr(solvers, "structure", recording(solvers.structure, passes, first_arg))
+    monkeypatch.setattr(
+        solvers, "hermitian_part", recording(solvers.hermitian_part, passes, lambda a, out: out[0])
+    )
     monkeypatch.setattr(solvers, "component_labels", recording(solvers.component_labels, labeled, first_arg))
     convergence_study(spec, schedule)
     full = [M for M in labeled if M.shape[0] == dim]
@@ -700,8 +755,11 @@ def test_block_bounds_dominate_dense_block_norms(z, kind, dtype, skew):
     components = [np.sort(idx) for idx in np.split(rng.permutation(n), np.cumsum(sizes)[:-1])]
     for _ in range(5):
         H_lim, H_L = random_block_pair(rng, components, n, kind, dtype, skew, z)
-        defects = [float(np.max(np.abs(H - H.conj().T))) for H in (H_lim, H_L)]
-        u = renorm._block_bounds(sp.csr_matrix(H_lim), sp.csr_matrix(H_L), z, components, *defects)
+        if skew:  # no Operator holds such an H_lim, so no bound is taken on it
+            with pytest.raises(StructuralError):
+                Operator(build_basis(grid_of([1.0]), SpinSpace(1), n - 1), sp.csr_matrix(H_lim))
+            continue
+        u = renorm._block_bounds(sp.csr_matrix(H_lim), sp.csr_matrix(H_L), z, components)
         for idx, u_c in zip(components, u):
             block = np.ix_(idx, idx)
             eye = np.eye(len(idx))
@@ -711,7 +769,7 @@ def test_block_bounds_dominate_dense_block_norms(z, kind, dtype, skew):
             if kind == "dominant":  # the Neumann bound B2 is below ||dH_c|| / |Im z|^2 <= B1
                 dH = H_lim[block] - H_L[block]
                 assert u_c < np.linalg.norm(dH, 2) / z.imag**2
-            if kind == "tight" and not skew:
+            if kind == "tight":
                 assert u_c <= 1.01 * norm
 
 
