@@ -179,12 +179,14 @@ def _component_solver(A: sp.csr_matrix, totals: np.ndarray):
     return None
 
 
-def component_labels(M: sp.spmatrix) -> np.ndarray:
-    """Labels of the weak components of the nonzero pattern of ``M`` (a
-    stored zero is no edge), numbered in order of their smallest index."""
+def component_labels(M: sp.spmatrix, connection: str = "weak") -> np.ndarray:
+    """Labels of the components of the nonzero pattern of ``M`` (a stored
+    zero is no edge), numbered in order of their smallest index.
+    ``connection`` is csgraph's: "weak" for any pattern; on a symmetric
+    pattern "strong" gives the same labels without csgraph's transpose."""
     pattern = abs(M)  # csgraph takes a real matrix
     pattern.eliminate_zeros()
-    return connected_components(pattern, directed=True, connection="weak")[1]
+    return connected_components(pattern, directed=True, connection=connection)[1]
 
 
 def merge_labels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -223,7 +225,11 @@ def hermitian_part(M: sp.spmatrix) -> tuple[sp.csr_matrix, float]:
     defect = float(np.max(np.abs((M - adj).data), initial=0.0))
     if defect:
         M = M + adj
-        M.data *= 0.5
+        del adj
+        # scipy's sum keeps room for nnz(M) + nnz(M^*) entries; the halved
+        # data and a copy of the indices hold only the nnz(M + M^*) used
+        M.data = M.data * 0.5
+        M.indices = M.indices.copy()
     return M, defect
 
 

@@ -154,7 +154,8 @@ class Operator:
     the basis it is written in.  A defect max|M - M^*| above
     ``HERMITICITY_TOL`` raises ``StructuralError``; a smaller one is kept
     as ``defect``, ``matrix`` holds the ``_solvers.hermitian_part`` of M
-    and ``labels`` the ``_solvers.component_labels`` of that."""
+    and ``labels`` the ``_solvers.component_labels`` of that (strong
+    components, which on its symmetric pattern are the weak ones)."""
 
     basis: OccupationBasis
     matrix: sp.csr_matrix
@@ -167,7 +168,7 @@ class Operator:
         self.matrix, self.defect = _solvers.hermitian_part(self.matrix)
         if self.defect > HERMITICITY_TOL:
             raise StructuralError(f"operator is not self-adjoint (defect {self.defect:.3e})")
-        self.labels = _solvers.component_labels(self.matrix)
+        self.labels = _solvers.component_labels(self.matrix, "strong")
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()

@@ -143,7 +143,9 @@ def _sandwich(
     """(1 + G)(dGamma(omega) + lambda - T)(1 + G*) for G = G_F and T = T_V."""
     eye = sp.identity(basis.dim, format="csr")
     core = dgamma(basis, basis.grid.omegas) + lam * eye - T
-    return (eye + G) @ core @ (eye + G.conj().T)
+    left = (eye + G) @ core
+    del core  # one product fewer alive while the second is formed
+    return left @ (eye + G.conj().T)
 
 
 def xi(basis: OccupationBasis, F: FormFactor, V: FormFactor, lam: float) -> sp.csr_matrix:

@@ -155,8 +155,13 @@ def h_renormalized(basis: OccupationBasis, spec: HamiltonianSpec) -> Operator:
         )
         W = weyl(basis, dress)
         core = sp.csr_matrix(W @ (core @ W.conj().T))
-    mat = spin_operator(basis, spec.S) + core - lam * sp.identity(basis.dim, format="csr")
+    mat = spin_operator(basis, spec.S) + core
     del core  # one H_lim-sized matrix fewer while the Operator is built
+    diag = mat.diagonal()
+    if np.all(diag):  # every diagonal entry is stored: subtract lambda in place
+        mat.setdiag(diag - lam)
+    else:
+        mat = mat - lam * sp.identity(basis.dim, format="csr")
     H = Operator(basis, mat)
     if H.defect > 1e-12 * max(1.0, lam):
         raise NumericError(f"renormalized operator hermiticity defect {H.defect:.3e}")
@@ -365,12 +370,27 @@ class ConvergenceReport:
         return "PASS" if self.passed else "FAIL"
 
 
-def _block_bounds(H_lim, H_L, z: complex, components):
+def _lim_bound_terms(H_lim, z: complex):
+    """The terms of ``_block_bounds`` that depend on H_lim alone, formed
+    once per study: p_lim = 1/|h_lim - z| and the row and column sums
+    |O_lim| p_lim and p_lim (|O_lim|^T 1) of O_lim P_lim."""
+    h_lim = H_lim.diagonal()
+    p_lim = 1.0 / np.abs(h_lim - z)
+    a_lim = np.abs(h_lim)  # taken off |H| to leave |O|
+    abs_lim = abs(H_lim)
+    ones = np.ones(H_lim.shape[0])
+    return p_lim, abs_lim @ p_lim - a_lim * p_lim, p_lim * (abs_lim.T @ ones - a_lim)
+
+
+def _block_bounds(H_lim, lim_terms, H_L, z: complex, components):
     """Upper bounds u_c >= ||D_c||_2 on the diagonal blocks of
     D = (H_L - z)^{-1} - (H_lim - z)^{-1} = R_L (H_lim - H_L) R_lim over
     ``components``, index arrays of blocks that both self-adjoint CSR
-    operators leave invariant.  Each 2-norm is bounded by
-    sqrt(||X||_1 ||X||_inf) of the entrywise |X|, and u_c = min(B1, B2):
+    operators leave invariant.  ``lim_terms`` are the
+    ``_lim_bound_terms(H_lim, z)``, formed once per study; per call only
+    |dH| = |H_lim - H_L| is formed at the size of H_lim.  Each 2-norm is
+    bounded by sqrt(||X||_1 ||X||_inf) of the entrywise |X|, and
+    u_c = min(B1, B2):
 
     * B1 = ||dH_c|| / |Im z|^2, dH = H_lim - H_L, since
       ||(H - z)^{-1}|| <= 1 / |Im z| for self-adjoint H;
@@ -387,15 +407,20 @@ def _block_bounds(H_lim, H_L, z: complex, components):
         rows = np.maximum.reduceat(row_sums[order], starts)
         return np.sqrt(rows * np.maximum.reduceat(col_sums[order], starts))
 
-    abs_dH, abs_L, abs_lim = abs(H_lim - H_L), abs(H_L), abs(H_lim)
+    abs_dH = H_lim - H_L  # the one H_lim-sized matrix of the call
+    if np.isrealobj(abs_dH.data):
+        np.abs(abs_dH.data, out=abs_dH.data)
+    else:
+        abs_dH = abs(abs_dH)
     ones = np.ones(H_lim.shape[0])
     b1 = norm_bound(abs_dH @ ones, abs_dH.T @ ones) / z.imag**2
 
-    h_L, h_lim = H_L.diagonal(), H_lim.diagonal()
-    p_L, p_lim = 1.0 / np.abs(h_L - z), 1.0 / np.abs(h_lim - z)
-    a_L, a_lim = np.abs(h_L), np.abs(h_lim)  # taken off |H| to leave |O|
+    p_lim, lim_rows, lim_cols = lim_terms
+    abs_L, h_L = abs(H_L), H_L.diagonal()
+    p_L = 1.0 / np.abs(h_L - z)
+    a_L = np.abs(h_L)
     x_L = norm_bound(p_L * (abs_L @ ones - a_L), abs_L.T @ p_L - a_L * p_L)
-    x_lim = norm_bound(abs_lim @ p_lim - a_lim * p_lim, p_lim * (abs_lim.T @ ones - a_lim))
+    x_lim = norm_bound(lim_rows, lim_cols)
     num = norm_bound(p_L * (abs_dH @ p_lim), p_lim * (abs_dH.T @ p_L))
     gap_L, gap_lim = 1 - x_L, 1 - x_lim
     b2 = np.full(len(components), np.inf)
@@ -423,14 +448,15 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> Converg
     computed exactly (0 without singletons).  Every other block c is
     bounded by u_c = min(B1, B2) without a solve (see ``_block_bounds``):
     B1 from ||(H - z)^{-1}|| <= 1/|Im z| for self-adjoint H, and B2 from
-    the Neumann series about the diagonals.  A block with u_c <= s cannot
-    attain the maximum and is pruned.  On the union U of the remaining blocks the
-    largest singular value of D_U is the square root of the largest
-    eigenvalue of D_U^* D_U, computed by Lanczos (ARPACK ``eigsh``) with
-    both resolvents built on U only, and started from ``probe[U]`` for
-    a vector ``probe`` drawn once from ``seed``.  D_Lambda = max(s,
-    sigma_max(D_U)); when every block is pruned, D_Lambda = s and nothing
-    is solved.
+    the Neumann series about the diagonals; their terms that depend on
+    H_lim alone are computed once per study (``_lim_bound_terms``).  A
+    block with u_c <= s cannot attain the maximum and is pruned.  On the
+    union U of the remaining blocks the largest singular value of D_U is
+    the square root of the largest eigenvalue of D_U^* D_U, computed by
+    Lanczos (ARPACK ``eigsh``) with both resolvents built on U only, and
+    started from ``probe[U]`` for a vector ``probe`` drawn once from
+    ``seed``.  D_Lambda = max(s, sigma_max(D_U)); when every block is
+    pruned, D_Lambda = s and nothing is solved.
 
     s is exact up to rounding and a pruned block cannot change the
     maximum, so only sigma_max(D_U) carries an iteration error:
@@ -448,6 +474,7 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> Converg
     lim = H_lim.matrix
     r_lim = 1.0 / (lim.diagonal() - STUDY_Z)  # singleton blocks of (H_lim - z)^{-1}
     g_lim = ground_energy(H_lim, seed=seed)
+    lim_terms = _lim_bound_terms(lim, STUDY_Z)
     report = ConvergenceReport(schedule=schedule)
     rng = np.random.default_rng(seed)
     probe = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
@@ -460,7 +487,7 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> Converg
         dist = float(np.max(np.abs(steps), initial=0.0))
         bounds = []
         if components:
-            bounds = _block_bounds(lim, cut, STUDY_Z, components)
+            bounds = _block_bounds(lim, lim_terms, cut, STUDY_Z, components)
         kept = [idx for idx, u in zip(components, bounds) if u > dist]
         if kept:
             U = np.sort(np.concatenate(kept))
@@ -474,6 +501,7 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> Converg
                 dtype=complex,
             )
             dist = max(dist, _top_singular(D, probe[U], OPNORM_TOL, OPNORM_MAX_RESTARTS))
+            del R_L, D  # not alive while the next cutoff is factored
         g_reg = ground_energy(H_L, seed=seed)
         report.rows.append(
             ConvergenceRow(

@@ -24,8 +24,17 @@ from sbfock import (
     zero_form_factor,
 )
 from sbfock.cli import parse_config
-from sbfock.fock import STATE_CAP, Operator, annihilate, build_basis, create, dgamma, field
-from sbfock.ibc import restricted_block, restricted_deviation
+from sbfock.fock import (
+    STATE_CAP,
+    Operator,
+    annihilate,
+    build_basis,
+    create,
+    dgamma,
+    field,
+    spin_operator,
+)
+from sbfock.ibc import restricted_block, restricted_deviation, xi
 from sbfock.model import uv_truncate
 import sbfock.renorm as renorm
 from sbfock.renorm import (
@@ -306,6 +315,44 @@ def test_operator_matrix_is_canonical_csr():
     abs(H.matrix)
     assert np.array_equal(H.matrix.indices, indices)
     assert np.max(np.abs(H.matrix - H.matrix.conj().T)) == 0.0
+
+
+def test_operator_matrix_holds_no_spare_room():
+    # the ex2_default H_lim has a defect, so it is stored as a new sum
+    # M + M^*; its arrays hold exactly its entries, not the nnz(M) + nnz(M^*)
+    # that scipy's sum allocates
+    spec, _, _ = parse_config(REPO / "configs" / "ex2_default.json")
+    H = h_renormalized(build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max), spec)
+    assert H.defect > 0
+    for a in (H.matrix.data, H.matrix.indices):
+        assert (a if a.base is None else a.base).size == H.matrix.nnz
+
+
+def zero_coupling_spec():
+    # dyadic frequencies and no coupling: H_lim = S + dGamma(omega)
+    g = grid_of([0.5, 2.0, 4.0], mus=[0.5, 1.0, 1.0])
+    return make_spec(g, None, None, None, None, None, None, 2, n_max=3, S=SIGMA_Z.real)
+
+
+@pytest.mark.parametrize("make, stored", [
+    pytest.param(lambda: rotating_wave_spec(), True, id="rotating_wave"),
+    pytest.param(lambda: parse_config(REPO / "configs" / "ex2_default.json")[0], False, id="ex2_default"),
+    pytest.param(lambda: zero_coupling_spec(), False, id="zero_coupling"),
+])
+def test_renormalized_lambda_shift_is_bitwise_the_three_term_sum(make, stored):
+    # lambda is subtracted in place on the diagonal of S + core when every
+    # diagonal entry is stored (lambda = 1e5); at lambda = 1 the entry of
+    # (vacuum, spin down) cancels exactly and is not stored
+    spec = make()
+    basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
+    core = xi(basis, spec.coupling.v_n, spec.coupling.v_n, spec.lam) + field(basis, spec.coupling.v_le)
+    s_plus_c = spin_operator(basis, spec.S) + core
+    assert np.all(s_plus_c.diagonal()) == stored
+    want = Operator(basis, s_plus_c - spec.lam * sp.identity(basis.dim, format="csr"))
+    got = h_renormalized(basis, spec)
+    assert got.defect == want.defect
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got.matrix, name).tobytes() == getattr(want.matrix, name).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -633,12 +680,12 @@ def test_convergence_study_distances_match_dense_svd(make):
     assert got == pytest.approx(dense_resolvent_distances(spec, schedule), rel=0, abs=1e-9)
 
 
-def rotating_wave_spec():
+def rotating_wave_spec(lambda_max=16.0, n_modes=4):
     # lambda = 1e5 rotating-wave model: at the last cutoff every block of D
     # is proved below the largest singleton entry
     from sbfock.model import power_law_grid
 
-    grid, v = power_law_grid(0.0, 1.0, 16.0, 4)
+    grid, v = power_law_grid(0.0, 1.0, lambda_max, n_modes)
     om = grid.omegas
     coupling = CouplingDecomposition(
         v_le=separable(grid, np.where(om <= 1, v, 0), SIGMA_MINUS),
@@ -759,7 +806,8 @@ def test_block_bounds_dominate_dense_block_norms(z, kind, dtype, skew):
             with pytest.raises(StructuralError):
                 Operator(build_basis(grid_of([1.0]), SpinSpace(1), n - 1), sp.csr_matrix(H_lim))
             continue
-        u = renorm._block_bounds(sp.csr_matrix(H_lim), sp.csr_matrix(H_L), z, components)
+        lim = sp.csr_matrix(H_lim)
+        u = renorm._block_bounds(lim, renorm._lim_bound_terms(lim, z), sp.csr_matrix(H_L), z, components)
         for idx, u_c in zip(components, u):
             block = np.ix_(idx, idx)
             eye = np.eye(len(idx))
@@ -773,6 +821,87 @@ def test_block_bounds_dominate_dense_block_norms(z, kind, dtype, skew):
                 assert u_c <= 1.01 * norm
 
 
+def one_shot_block_bounds(H_lim, H_L, z, components):
+    # the bounds with every H_lim term formed at the call, as they were
+    # before those terms were formed once per study
+    sizes = np.array([len(idx) for idx in components])
+    order = np.concatenate(components)
+    starts = np.cumsum(sizes) - sizes
+
+    def norm_bound(row_sums, col_sums):
+        rows = np.maximum.reduceat(row_sums[order], starts)
+        return np.sqrt(rows * np.maximum.reduceat(col_sums[order], starts))
+
+    abs_dH, abs_L, abs_lim = abs(H_lim - H_L), abs(H_L), abs(H_lim)
+    ones = np.ones(H_lim.shape[0])
+    b1 = norm_bound(abs_dH @ ones, abs_dH.T @ ones) / z.imag**2
+    h_L, h_lim = H_L.diagonal(), H_lim.diagonal()
+    p_L, p_lim = 1.0 / np.abs(h_L - z), 1.0 / np.abs(h_lim - z)
+    a_L, a_lim = np.abs(h_L), np.abs(h_lim)
+    x_L = norm_bound(p_L * (abs_L @ ones - a_L), abs_L.T @ p_L - a_L * p_L)
+    x_lim = norm_bound(abs_lim @ p_lim - a_lim * p_lim, p_lim * (abs_lim.T @ ones - a_lim))
+    num = norm_bound(p_L * (abs_dH @ p_lim), p_lim * (abs_dH.T @ p_L))
+    gap_L, gap_lim = 1 - x_L, 1 - x_lim
+    b2 = np.full(len(components), np.inf)
+    np.divide(num, gap_L * gap_lim, out=b2, where=(gap_L > 0) & (gap_lim > 0))
+    return np.minimum(b1, b2)
+
+
+@pytest.mark.parametrize("z", [1j, 0.3 + 0.5j])
+@pytest.mark.parametrize("kind", ["dominant", "not_dominant", "tight"])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("skew", [0.0, 1e-3], ids=["hermitian", "skew"])
+def test_block_bounds_with_lim_terms_formed_once_are_unchanged(z, kind, dtype, skew):
+    # the H_lim terms are formed once and reused for two cutoff operators;
+    # every bound equals the one-shot result bitwise
+    rng = np.random.default_rng(7)
+    sizes = [2, 3, 5, 8, 13, 21]
+    n = sum(sizes)
+    components = [np.sort(idx) for idx in np.split(rng.permutation(n), np.cumsum(sizes)[:-1])]
+    for _ in range(5):
+        H_lim, H_L = random_block_pair(rng, components, n, kind, dtype, skew, z)
+        _, H_L2 = random_block_pair(rng, components, n, kind, dtype, skew, z)
+        lim = sp.csr_matrix(H_lim)
+        terms = renorm._lim_bound_terms(lim, z)
+        for cut in (sp.csr_matrix(H_L), sp.csr_matrix(H_L2)):
+            got = renorm._block_bounds(lim, terms, cut, z, components)
+            want = one_shot_block_bounds(sp.csr_matrix(H_lim), cut, z, components)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_block_bounds_allocation_budget():
+    # a study-like pair (the rotating-wave model at 24 modes, dim 5,850):
+    # one call allocates about one H_lim-sized matrix, |H_lim - H_Lambda|,
+    # where the one-shot bounds copy it once more in abs() and also form
+    # |H_lim|
+    import tracemalloc
+
+    from sbfock._solvers import group_components, merge_labels
+
+    spec = rotating_wave_spec(lambda_max=256.0, n_modes=24)
+    basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
+    H_lim = h_renormalized(basis, spec)
+    H_L = renorm.h_cutoff(basis, spec, 4.0)[0]
+    components, _ = group_components(merge_labels(H_lim.labels, H_L.labels))
+    lim, cut = H_lim.matrix, H_L.matrix
+    terms = renorm._lim_bound_terms(lim, renorm.STUDY_Z)
+    lim_bytes = lim.data.nbytes + lim.indices.nbytes
+
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    peak = traced_peak(renorm._block_bounds, lim, terms, cut, renorm.STUDY_Z, components)
+    assert peak < 1.5 * lim_bytes
+    one_shot = traced_peak(one_shot_block_bounds, lim, cut, renorm.STUDY_Z, components)
+    assert one_shot > 2 * lim_bytes
+
+
 def test_convergence_study_lanczos_nonconvergence_raises(monkeypatch):
     # one ARPACK restart does not resolve the clustered top singular values
     monkeypatch.setattr(renorm, "OPNORM_MAX_RESTARTS", 1)
@@ -783,9 +912,7 @@ def test_convergence_study_lanczos_nonconvergence_raises(monkeypatch):
 def test_convergence_study_zero_distance_passes():
     # no coupling and dyadic frequencies: H_Lambda and H_lim are the same
     # diagonal matrix, so D = 0 and Lanczos has no Krylov space to build
-    g = grid_of([0.5, 2.0, 4.0], mus=[0.5, 1.0, 1.0])
-    spec = make_spec(g, None, None, None, None, None, None, 2, n_max=3, S=SIGMA_Z.real)
-    rep = convergence_study(spec, [2.0, 8.0])
+    rep = convergence_study(zero_coupling_spec(), [2.0, 8.0])
     assert [r.resolvent_distance for r in rep.rows] == [0.0, 0.0]
     assert rep.verdict == "PASS"
 

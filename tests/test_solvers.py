@@ -207,6 +207,17 @@ def test_split_components_weak_connectivity_and_order():
     assert singletons.tolist() == [1, 7]
 
 
+def test_operator_labels_are_the_weak_components():
+    # an Operator's nonzero pattern is symmetric, so the strong components
+    # of its labels are the weak ones, numbered alike
+    spec, _, _ = parse_config(CONFIGS / "ex2_default.json")
+    basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
+    for H in (h_renormalized(basis, spec), h_cutoff(basis, spec, 4.0)[0]):
+        weak = solvers.component_labels(H.matrix)
+        assert 1 < weak.max() + 1 < basis.dim
+        np.testing.assert_array_equal(H.labels, weak)
+
+
 def ex2_default_pair():
     # the shipped ex2 H_lim and its H_Lambda at Lambda = 4
     spec, _, _ = parse_config(CONFIGS / "ex2_default.json")
