@@ -29,6 +29,7 @@ same factorization.  A singular factorization raises ``NumericError``.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -215,22 +216,55 @@ def split_components(M: sp.spmatrix):
     return group_components(component_labels(M))
 
 
+def row_blocks(indptr: np.ndarray, step: int | None = None) -> list[tuple[int, int]]:
+    """Consecutive row ranges (a, b) that cover a CSR matrix with row
+    pointer ``indptr``, each holding about ``step`` entries: at most
+    ``step`` plus those of its first row.  By default ``step`` is
+    sqrt(n nnz), the geometric mean of one vector and the whole matrix:
+    a block is a small share of a sparse matrix, and a dense one is cut
+    into few blocks."""
+    n, nnz = len(indptr) - 1, int(indptr[-1])
+    step = max(math.isqrt(n * nnz), 1) if step is None else step
+    cuts = np.searchsorted(indptr[1:], np.arange(step, nnz, step), "right")
+    cuts = np.unique(np.concatenate([[0], cuts, [n]]))
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def rows_of(M: sp.csr_matrix, a: int, b: int) -> sp.csr_matrix:
+    """Rows a:b of the CSR matrix ``M`` as a CSR matrix sharing its arrays."""
+    lo, hi = M.indptr[a], M.indptr[b]
+    return sp.csr_matrix(
+        (M.data[lo:hi], M.indices[lo:hi], M.indptr[a : b + 1] - lo), shape=(b - a, M.shape[1])
+    )
+
+
 def hermitian_part(M: sp.spmatrix) -> tuple[sp.csr_matrix, float]:
     """The Hermitian part (M + M^*)/2 of a square sparse ``M``, in canonical
     CSR form (sorted indices, no duplicates), and the defect max|M - M^*|.
-    With defect 0 it is M itself, canonicalized in place."""
+    With defect 0 it is M itself, canonicalized in place.
+
+    Both are taken over the ``row_blocks`` of M, so neither M - M^* nor
+    M + M^* is formed in full: besides M the call holds M^*, the halved
+    blocks of the result and one block's sums, and at the end the blocks
+    and the result.  Row by row the arithmetic is that of one sparse sum,
+    so the result is the same bit for bit."""
     M = M.tocsr()
     M.sum_duplicates()
     adj = M.conj(copy=False).T.tocsr()
-    defect = float(np.max(np.abs((M - adj).data), initial=0.0))
-    if defect:
-        M = M + adj
-        del adj
-        # scipy's sum keeps room for nnz(M) + nnz(M^*) entries; the halved
-        # data and a copy of the indices hold only the nnz(M + M^*) used
-        M.data = M.data * 0.5
-        M.indices = M.indices.copy()
-    return M, defect
+    blocks = row_blocks(M.indptr)
+    defect = 0.0
+    for a, b in blocks:
+        diff = rows_of(M, a, b) - rows_of(adj, a, b)
+        defect = max(defect, float(np.max(np.abs(diff.data), initial=0.0)))
+    if not defect:
+        return M, defect
+    halves = []
+    for a, b in blocks:
+        S = rows_of(M, a, b) + rows_of(adj, a, b)
+        # the halved data and the indices, without the room the sum keeps
+        halves.append(sp.csr_matrix((S.data * 0.5, S.indices.copy(), S.indptr), shape=S.shape))
+    del adj, S
+    return sp.vstack(halves, format="csr"), defect
 
 
 class StructuredResolvent:

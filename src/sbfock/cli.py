@@ -38,7 +38,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, NumericError, SbfockError
 from .fock import SpinSpace, build_basis, create, dgamma, field, spin_operator
-from .ibc import IDENTITY_TOL, restricted_block, t_op, verify_ibc_bounds, xi
+from .ibc import IDENTITY_TOL, _sandwich, boundary_ops, restricted_block, t_op, verify_ibc_bounds
 from .dressing import verify_weyl_continuity, verify_weyl_transforms
 from .model import (
     SIGMA_MINUS,
@@ -410,8 +410,11 @@ def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
         ad = create(basis, F)
         oracle = ad.conj().T @ res @ ad - spin_operator(basis, bs_inner(F, F, 1.0))
         ibc_suite.add(vanishes(f"normal_ordering_{trial}", T - oracle))
+    # theta0, theta1 and G of V_N, built once for the identity and the bounds
+    ops = boundary_ops(basis, spec.coupling.v_n, lam)
     if not spec.coupling.v_n.is_zero():
-        Xi = xi(basis, spec.coupling.v_n, spec.coupling.v_n, lam)
+        theta0_n, theta1_n, G_n = ops
+        Xi = _sandwich(basis, G_n, theta0_n + theta1_n, lam)  # xi(V_N, V_N, lambda)
         target = (
             h_reg(basis, np.zeros((dim, dim)), spec.coupling.v_n).matrix
             + spin_operator(basis, bs_inner(spec.coupling.v_n, spec.coupling.v_n, 1.0))
@@ -428,6 +431,7 @@ def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
             lam,
             spec.coupling.s_n,
             seed=options["seed"],
+            F_ops=ops,
         )
     )
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,18 +36,29 @@ STATE_CAP = 2_000_000
 HERMITICITY_TOL = 1e-10
 
 
-@lru_cache(maxsize=None)
-def _compositions(total: int, n_parts: int) -> np.ndarray:
-    """All occupation vectors of length ``n_parts`` summing to ``total``,
-    lexicographically ascending, as a (count, n_parts) uint16 array."""
-    if n_parts == 1:
-        return np.array([[total]], dtype=np.uint16)
-    blocks = []
-    for head in range(total + 1):
-        tail = _compositions(total - head, n_parts - 1)
-        col = np.full((tail.shape[0], 1), head, dtype=np.uint16)
-        blocks.append(np.hstack([col, tail]))
-    return np.vstack(blocks)
+def _occupations(n_modes: int, n_max: int) -> np.ndarray:
+    """All occupation vectors of length ``n_modes`` with total at most
+    ``n_max``, by ascending total, then lexicographically ascending, as a
+    (count, n_modes) uint16 array.
+
+    Built bottom-up over the modes: the level of k modes lists, by
+    ascending total, the occupations of the last k modes, and the level
+    of k + 1 modes puts each head h <= t in front of the block of total
+    t - h.  Only the previous level is kept."""
+    occs = np.arange(n_max + 1, dtype=np.uint16)[:, None]
+    starts = np.arange(n_max + 2)  # the rows of total t are starts[t]:starts[t + 1]
+    for k in range(1, n_modes):
+        new_starts = np.concatenate([[0], np.cumsum(np.cumsum(np.diff(starts)))])
+        nxt = np.empty((new_starts[-1], k + 1), dtype=np.uint16)
+        for t in range(n_max + 1):
+            row = new_starts[t]
+            for head in range(t + 1):
+                tail = occs[starts[t - head] : starts[t - head + 1]]
+                nxt[row : row + len(tail), 0] = head
+                nxt[row : row + len(tail), 1:] = tail
+                row += len(tail)
+        occs, starts = nxt, new_starts
+    return occs
 
 
 def basis_size(n_modes: int, spin_dim: int, n_max: int) -> int:
@@ -176,7 +186,11 @@ class Operator:
 
 def build_basis(grid: ModeGrid, spin: SpinSpace, n_max: int) -> OccupationBasis:
     """Enumerate all (occupation, spin) states with total boson number
-    <= n_max; more than ``STATE_CAP`` states raise ``ResourceError``."""
+    <= n_max; more than ``STATE_CAP`` states raise ``ResourceError``.
+
+    The occupations are enumerated mode by mode (``_occupations``) and
+    nothing is cached: at most two levels of the enumeration are alive,
+    the last of which is the occupation array itself."""
     if n_max < 0:
         raise ParameterError("n_max must be >= 0")
     size = basis_size(grid.n_modes, spin.dim, n_max)
@@ -184,8 +198,7 @@ def build_basis(grid: ModeGrid, spin: SpinSpace, n_max: int) -> OccupationBasis:
         raise ResourceError(
             f"basis would have {size} states, exceeding the cap of {STATE_CAP}"
         )
-    blocks = [_compositions(n, grid.n_modes) for n in range(n_max + 1)]
-    occs = np.vstack(blocks)
+    occs = _occupations(grid.n_modes, n_max)
     totals = occs.sum(axis=1).astype(np.int64)
     return OccupationBasis(grid=grid, spin=spin, n_max=n_max, occupations=occs, totals=totals)
 

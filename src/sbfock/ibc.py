@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from ._solvers import row_blocks
 from .errors import ParameterError, StructuralError, NumericError
 from .fock import (
     OccupationBasis,
@@ -65,13 +66,20 @@ def theta1(basis: OccupationBasis, F: FormFactor, lam: float) -> sp.csr_matrix:
     a*_q (dGamma+omega_r+omega_q+lambda)^{-1} = (dGamma+omega_r+lambda)^{-1} a*_q,
     which turns each term into diag * a*(F) * a_r.  Preserves total boson
     number.
+
+    Each mode's term is formed once; the terms are then summed in row
+    blocks, each holding about as many of their entries as the largest
+    term (at most that plus one row), so no staging array outgrows about
+    one term.  Within a row the entries meet in the same order as in one
+    sum over all rows (term by term), so the result is the same bit for
+    bit.
     """
     _require_positive(lam)
     ad_full = create(basis, F)
     omegas = basis.grid.omegas
     mus = basis.grid.mus
     eye_spin = np.eye(basis.spin.dim)
-    rows_acc, cols_acc, data_acc = [], [], []
+    terms = []
     for r in range(basis.grid.n_modes):
         fr_star = F.values[r].conj().T
         if not np.any(fr_star):
@@ -84,19 +92,30 @@ def theta1(basis: OccupationBasis, F: FormFactor, lam: float) -> sp.csr_matrix:
             continue
         diag_vals = np.sqrt(mus[r]) / (basis.energies + omegas[r] + lam)
         left = spin_operator(basis, fr_star, sp.diags(diag_vals))
-        term = (left @ right).tocoo()
-        rows_acc.append(term.row)
-        cols_acc.append(term.col)
-        data_acc.append(term.data)
-    if not rows_acc:
+        terms.append(left @ right)
+    del ad_full
+    if not terms:
         return sp.csr_matrix((basis.dim, basis.dim))
-    data = _entries(np.concatenate(data_acc))  # float64 when every entry is real
-    mat = sp.csr_matrix(
-        (data, (np.concatenate(rows_acc), np.concatenate(cols_acc))),
-        shape=(basis.dim, basis.dim),
-    )
-    mat.sum_duplicates()
-    return mat
+    if not any(np.iscomplexobj(_entries(t.data)) for t in terms):
+        for t in terms:  # float64 when every entry is real
+            t.data = _entries(t.data)
+    staged = sum(t.indptr.astype(np.int64) for t in terms)  # row pointer of all the entries
+    blocks = []
+    for a, b in row_blocks(staged, max(t.nnz for t in terms)):
+        data, rows, cols = [], [], []
+        for t in terms:  # rows a:b of each term, as COO triplets in term order
+            lo, hi = t.indptr[a], t.indptr[b]
+            data.append(t.data[lo:hi])
+            rows.append(np.repeat(np.arange(b - a), np.diff(t.indptr[a : b + 1])))
+            cols.append(t.indices[lo:hi])
+        block = sp.csr_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(b - a, basis.dim),
+        )
+        block.sum_duplicates()
+        blocks.append(block)
+    del terms, t, data, cols  # the last block's slices would keep every term alive
+    return sp.vstack(blocks, format="csr")
 
 
 def t_op(basis: OccupationBasis, F: FormFactor, lam: float) -> sp.csr_matrix:
@@ -140,9 +159,12 @@ def nilpotent_inverse(
 def _sandwich(
     basis: OccupationBasis, G: sp.csr_matrix, T: sp.csr_matrix, lam: float
 ) -> sp.csr_matrix:
-    """(1 + G)(dGamma(omega) + lambda - T)(1 + G*) for G = G_F and T = T_V."""
+    """(1 + G)(dGamma(omega) + lambda - T)(1 + G*) for G = G_F and T = T_V.
+    T is let go once the core is formed, so a T passed as a temporary (as
+    ``xi`` does) is freed before the products on CPython 3.11 and later."""
     eye = sp.identity(basis.dim, format="csr")
     core = dgamma(basis, basis.grid.omegas) + lam * eye - T
+    del T
     left = (eye + G) @ core
     del core  # one product fewer alive while the second is formed
     return left @ (eye + G.conj().T)
@@ -151,6 +173,15 @@ def _sandwich(
 def xi(basis: OccupationBasis, F: FormFactor, V: FormFactor, lam: float) -> sp.csr_matrix:
     """Sandwiched generator (1 + G_F)(dGamma(omega) + lambda - T_V)(1 + G_F*)."""
     return _sandwich(basis, g_op(basis, F, lam), t_op(basis, V, lam), lam)
+
+
+def boundary_ops(
+    basis: OccupationBasis, F: FormFactor, lam: float
+) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """theta0, theta1 and G of ``F``: xi(F, F, lambda) is
+    ``_sandwich(basis, G, theta0 + theta1, lam)``, and they are the F side
+    of ``verify_ibc_bounds``, so a caller that needs both builds them once."""
+    return theta0(basis, F, lam), theta1(basis, F, lam), g_op(basis, F, lam)
 
 
 # ------------------------------------------------------------------ bounds
@@ -163,6 +194,7 @@ def verify_ibc_bounds(
     lam: float,
     s: float,
     seed: int = 0,
+    F_ops: tuple | None = None,
 ) -> CheckSuite:
     """Numerically check the quantitative bounds on Theta, G and xi.
 
@@ -170,7 +202,8 @@ def verify_ibc_bounds(
     random unit vectors (projected onto the truncation-safe block for the
     domain bounds) and judged by ``reports.bound_check``.  Checks whose
     hypotheses fail (non-nilpotent or infrared-supported F for the
-    domain-invariance bounds) are reported as SKIPPED.
+    domain-invariance bounds) are reported as SKIPPED.  ``F_ops`` are the
+    ``boundary_ops(basis, F, lam)`` when the caller already holds them.
     """
     _require_positive(lam)
     if not 1.0 <= s <= 2.0:
@@ -192,9 +225,9 @@ def verify_ibc_bounds(
     norm_diff = bs_norm(FormFactor(basis.grid, F.values - V.values), s)
     weighted = norms((energies + lam)[:, None] ** (s - 1.0) * psis)
 
+    theta0_F, theta1_F, G = boundary_ops(basis, F, lam) if F_ops is None else F_ops
     theta_V = []
-    for ell, builder in ((0, theta0), (1, theta1)):
-        th_F = builder(basis, F, lam)
+    for ell, th_F, builder in ((0, theta0_F, theta0), (1, theta1_F, theta1)):
         th_V = builder(basis, V, lam)
         theta_V.append(th_V)
         # difference bound, then the single-factor specialization
@@ -209,7 +242,6 @@ def verify_ibc_bounds(
 
     from .renorm import opnorm  # local import to avoid a cycle
 
-    G = g_op(basis, F, lam)
     g_norm = opnorm(G)
     suite.add(bound_check("g_norm_bound", g_norm, norm_F * lam ** ((s - 2.0) / 2.0)))
 

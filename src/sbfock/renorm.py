@@ -385,11 +385,11 @@ def _lim_bound_terms(H_lim, z: complex):
 def _block_bounds(H_lim, lim_terms, H_L, z: complex, components):
     """Upper bounds u_c >= ||D_c||_2 on the diagonal blocks of
     D = (H_L - z)^{-1} - (H_lim - z)^{-1} = R_L (H_lim - H_L) R_lim over
-    ``components``, index arrays of blocks that both self-adjoint CSR
-    operators leave invariant.  ``lim_terms`` are the
-    ``_lim_bound_terms(H_lim, z)``, formed once per study; per call only
-    |dH| = |H_lim - H_L| is formed at the size of H_lim.  Each 2-norm is
-    bounded by sqrt(||X||_1 ||X||_inf) of the entrywise |X|, and
+    ``components``, index arrays of blocks that both operators leave
+    invariant.  Both are exactly Hermitian canonical CSR matrices, as an
+    ``Operator`` stores them.  ``lim_terms`` are the
+    ``_lim_bound_terms(H_lim, z)``, formed once per study.  Each 2-norm
+    is bounded by sqrt(||X||_1 ||X||_inf) of the entrywise |X|, and
     u_c = min(B1, B2):
 
     * B1 = ||dH_c|| / |Im z|^2, dH = H_lim - H_L, since
@@ -398,6 +398,11 @@ def _block_bounds(H_lim, lim_terms, H_L, z: complex, components):
       series bound, with P = diag 1/|h_ii - z|, O the off-diagonal part,
       x_L >= ||P_L O_L|| and x_lim >= ||O_lim P_lim||; infinite unless
       both x < 1.
+
+    The sums of |dH| are formed in the ``_solvers.row_blocks`` of H_lim,
+    so no |dH| is formed in full.  As dH is exactly Hermitian with sorted
+    rows, each column sum |dH|^T x equals the row sum |dH| x bit for bit,
+    and only row sums are taken.
     """
     sizes = np.array([len(idx) for idx in components])
     order = np.concatenate(components)
@@ -407,21 +412,25 @@ def _block_bounds(H_lim, lim_terms, H_L, z: complex, components):
         rows = np.maximum.reduceat(row_sums[order], starts)
         return np.sqrt(rows * np.maximum.reduceat(col_sums[order], starts))
 
-    abs_dH = H_lim - H_L  # the one H_lim-sized matrix of the call
-    if np.isrealobj(abs_dH.data):
-        np.abs(abs_dH.data, out=abs_dH.data)
-    else:
-        abs_dH = abs(abs_dH)
-    ones = np.ones(H_lim.shape[0])
-    b1 = norm_bound(abs_dH @ ones, abs_dH.T @ ones) / z.imag**2
-
     p_lim, lim_rows, lim_cols = lim_terms
     abs_L, h_L = abs(H_L), H_L.diagonal()
     p_L = 1.0 / np.abs(h_L - z)
     a_L = np.abs(h_L)
+    ones = np.ones(H_lim.shape[0])
+    dH_ones, dH_p_lim, dH_p_L = np.empty((3, H_lim.shape[0]))
+    for a, b in _solvers.row_blocks(H_lim.indptr):
+        abs_dH = _solvers.rows_of(H_lim, a, b) - _solvers.rows_of(H_L, a, b)
+        if np.isrealobj(abs_dH.data):
+            np.abs(abs_dH.data, out=abs_dH.data)
+        else:
+            abs_dH = abs(abs_dH)
+        dH_ones[a:b] = abs_dH @ ones
+        dH_p_lim[a:b] = abs_dH @ p_lim
+        dH_p_L[a:b] = abs_dH @ p_L
+    b1 = norm_bound(dH_ones, dH_ones) / z.imag**2
     x_L = norm_bound(p_L * (abs_L @ ones - a_L), abs_L.T @ p_L - a_L * p_L)
     x_lim = norm_bound(lim_rows, lim_cols)
-    num = norm_bound(p_L * (abs_dH @ p_lim), p_lim * (abs_dH.T @ p_L))
+    num = norm_bound(p_L * dH_p_lim, p_lim * dH_p_L)
     gap_L, gap_lim = 1 - x_L, 1 - x_lim
     b2 = np.full(len(components), np.inf)
     np.divide(num, gap_L * gap_lim, out=b2, where=(gap_L > 0) & (gap_lim > 0))

@@ -84,6 +84,24 @@ def test_basis_enumeration_order_and_index_maps():
         basis.fock_rank((5, 5))
 
 
+@pytest.mark.parametrize("n_modes, n_max", [(1, 0), (1, 4), (2, 3), (3, 0), (4, 3), (6, 2), (7, 4)])
+def test_enumeration_matches_itertools_and_caches_nothing(n_modes, n_max):
+    import itertools
+
+    import sbfock.fock as fock
+
+    reference = sorted(
+        (occ for occ in itertools.product(range(n_max + 1), repeat=n_modes) if sum(occ) <= n_max),
+        key=lambda occ: (sum(occ), occ),
+    )
+    basis = build_basis(grid_of(np.linspace(1, 2, n_modes)), SpinSpace(1), n_max)
+    assert basis.occupations.dtype == np.uint16 and basis.occupations.flags.c_contiguous
+    assert [tuple(int(n) for n in occ) for occ in basis.occupations] == reference
+    assert basis.totals.tolist() == [sum(occ) for occ in reference]
+    # no cache at module level keeps the enumeration alive
+    assert not [name for name, value in vars(fock).items() if hasattr(value, "cache_info")]
+
+
 # ------------------------------------------------------------------- dgamma
 
 

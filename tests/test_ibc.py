@@ -119,6 +119,72 @@ def test_theta1_preserves_boson_number():
                 assert basis.totals[i // 2] == basis.totals[j // 2]
 
 
+def one_shot_theta1(basis, F, lam):
+    # theta1 with the COO triplets of every mode's term staged and summed
+    # in one conversion, as it was assembled before the row blocks
+    from sbfock.fock import _entries, spin_operator
+
+    ad_full = create(basis, F)
+    omegas, mus = basis.grid.omegas, basis.grid.mus
+    rows_acc, cols_acc, data_acc = [], [], []
+    for r in range(basis.grid.n_modes):
+        fr_star = F.values[r].conj().T
+        if not np.any(fr_star):
+            continue
+        a_r = basis.mode_lowering(r)
+        if a_r.nnz == 0:
+            continue
+        right = ad_full @ spin_operator(basis, np.eye(basis.spin.dim), a_r)
+        if right.nnz == 0:
+            continue
+        diag_vals = np.sqrt(mus[r]) / (basis.energies + omegas[r] + lam)
+        term = (spin_operator(basis, fr_star, sp.diags(diag_vals)) @ right).tocoo()
+        rows_acc.append(term.row)
+        cols_acc.append(term.col)
+        data_acc.append(term.data)
+    if not rows_acc:
+        return sp.csr_matrix((basis.dim, basis.dim))
+    mat = sp.csr_matrix(
+        (_entries(np.concatenate(data_acc)), (np.concatenate(rows_acc), np.concatenate(cols_acc))),
+        shape=(basis.dim, basis.dim),
+    )
+    mat.sum_duplicates()
+    return mat
+
+
+@pytest.mark.parametrize("spin", ["scalar", "sigma_minus", "sigma_y", "complex"])
+def test_theta1_in_row_blocks_equals_one_shot_bitwise(spin, monkeypatch):
+    import sbfock.ibc as ibc
+    from sbfock import SIGMA_Y
+    from sbfock._solvers import row_blocks
+
+    rng = np.random.default_rng(11)
+    g = grid_of(np.geomspace(0.6, 9.0, 7))
+    spin_dim = 1 if spin == "scalar" else 2
+    profile = rng.uniform(0.2, 1.0, g.n_modes)
+    if spin == "scalar":
+        F = FormFactor(g, profile)
+    elif spin == "complex":
+        F = random_ff(g, 2, rng)
+    else:
+        F = separable(g, profile, SIGMA_MINUS if spin == "sigma_minus" else SIGMA_Y)
+    basis = build_basis(g, SpinSpace(spin_dim), 4)
+    blocks = []
+
+    def recording(*args):
+        blocks.extend(row_blocks(*args))
+        return row_blocks(*args)
+
+    monkeypatch.setattr(ibc, "row_blocks", recording)
+    got = theta1(basis, F, 0.7)
+    want = one_shot_theta1(basis, F, 0.7)
+    assert len(blocks) > 3  # the terms were summed in several row blocks
+    assert got.dtype == want.dtype
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 # --------------------------------------------------------------------- t_op
 
 

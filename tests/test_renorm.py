@@ -853,19 +853,25 @@ def one_shot_block_bounds(H_lim, H_L, z, components):
 @pytest.mark.parametrize("skew", [0.0, 1e-3], ids=["hermitian", "skew"])
 def test_block_bounds_with_lim_terms_formed_once_are_unchanged(z, kind, dtype, skew):
     # the H_lim terms are formed once and reused for two cutoff operators;
-    # every bound equals the one-shot result bitwise
+    # every bound equals the one-shot result bitwise.  The bounds take
+    # exactly Hermitian operators, so skewed matrices enter as the
+    # Hermitian parts an Operator stores
     rng = np.random.default_rng(7)
     sizes = [2, 3, 5, 8, 13, 21]
     n = sum(sizes)
     components = [np.sort(idx) for idx in np.split(rng.permutation(n), np.cumsum(sizes)[:-1])]
+
+    def stored(X):
+        return renorm._solvers.hermitian_part(sp.csr_matrix(X))[0]
+
     for _ in range(5):
         H_lim, H_L = random_block_pair(rng, components, n, kind, dtype, skew, z)
         _, H_L2 = random_block_pair(rng, components, n, kind, dtype, skew, z)
-        lim = sp.csr_matrix(H_lim)
+        lim = stored(H_lim)
         terms = renorm._lim_bound_terms(lim, z)
-        for cut in (sp.csr_matrix(H_L), sp.csr_matrix(H_L2)):
+        for cut in (stored(H_L), stored(H_L2)):
             got = renorm._block_bounds(lim, terms, cut, z, components)
-            want = one_shot_block_bounds(sp.csr_matrix(H_lim), cut, z, components)
+            want = one_shot_block_bounds(lim.copy(), cut, z, components)
             assert got.tobytes() == want.tobytes()
 
 
@@ -900,6 +906,27 @@ def test_block_bounds_allocation_budget():
     assert peak < 1.5 * lim_bytes
     one_shot = traced_peak(one_shot_block_bounds, lim, cut, renorm.STUDY_Z, components)
     assert one_shot > 2 * lim_bytes
+
+
+def test_h_renormalized_allocation_budget():
+    # the rotating-wave H_lim at 24 modes (dim 5,850): at its peak the
+    # assembly holds the matrix, its adjoint and the row blocks of its
+    # Hermitian part, plus one block's sums (4.1 times the bytes of H_lim).
+    # With theta1's COO staging and the sums M - M^* and M + M^* formed in
+    # full, the traced peak was 4.46 times those bytes
+    import tracemalloc
+
+    spec = rotating_wave_spec(lambda_max=256.0, n_modes=24)
+    basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
+    basis.lowering_table()  # cached on the basis, built before tracing
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        lim = h_renormalized(basis, spec).matrix
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.25 * (lim.data.nbytes + lim.indices.nbytes)
 
 
 def test_convergence_study_lanczos_nonconvergence_raises(monkeypatch):

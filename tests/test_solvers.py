@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -264,3 +265,55 @@ def test_merged_labels_match_split_of_abs_sum(make):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(singletons, expected_singletons)
     assert len(components) + len(singletons) < A.shape[0]  # some states were joined
+
+
+def test_row_blocks_cover_the_rows_in_order():
+    rng = np.random.default_rng(2)
+    counts = rng.integers(0, 40, 500)
+    counts[[0, 7, 499]] = [0, 300, 0]  # empty rows and a row longer than a block
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    for step in (None, 1, 50, 700, int(indptr[-1]) + 1):
+        blocks = solvers.row_blocks(indptr, step)
+        starts, ends = np.array(blocks).T
+        assert starts[0] == 0 and ends[-1] == 500 and np.array_equal(starts[1:], ends[:-1])
+        assert np.all(ends > starts)
+        size = math.isqrt(500 * int(indptr[-1])) if step is None else step
+        held = indptr[ends] - indptr[starts]
+        assert np.all(held <= size + counts[starts])
+    assert solvers.row_blocks(np.zeros(4, dtype=np.int32)) == [(0, 3)]  # no entries
+
+
+def one_shot_hermitian_part(M):
+    # the Hermitian part and the defect with M - M^* and M + M^* formed in
+    # full, as they were before the row blocks
+    M = M.tocsr()
+    M.sum_duplicates()
+    adj = M.conj().T.tocsr()
+    defect = float(np.max(np.abs((M - adj).data), initial=0.0))
+    if not defect:
+        return M, defect
+    S = M + adj
+    return sp.csr_matrix((S.data * 0.5, S.indices.copy(), S.indptr), shape=S.shape), defect
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_hermitian_part_of_a_skewed_matrix_in_row_blocks(dtype):
+    # an asymmetric pattern with skewed values, and an entry that cancels
+    # in M + M^*: the defect is max|M - M^*|, and the Hermitian part
+    # equals the one-shot sum bit for bit
+    rng = np.random.default_rng(5)
+    n = 300
+    X = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.1)
+    if dtype is complex:
+        X = X + 1j * rng.standard_normal((n, n)) * (X != 0)
+    X[3, 8], X[8, 3] = 0.5, -0.5
+    M = sp.csr_matrix(X)
+    assert len(solvers.row_blocks(M.indptr)) > 3
+    H, defect = solvers.hermitian_part(M.copy())
+    assert defect == np.max(np.abs(X - X.conj().T))
+    want, want_defect = one_shot_hermitian_part(M.copy())
+    assert defect == want_defect and H.dtype == want.dtype
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(H, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert 8 not in H.indices[H.indptr[3] : H.indptr[4]]  # the cancelled entry is not stored
