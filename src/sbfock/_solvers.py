@@ -3,28 +3,32 @@
 The cutoff studies need resolvent *actions* at dimensions far beyond
 the dense cap.  The coupling graph of a truncated spin-boson generator
 splits into independent components (dead modes, spin-polarized sectors,
-decoupled singletons); ``split_components`` labels and groups them.  A
-Hamiltonian is made self-adjoint (``hermitian_part``) and labeled once,
-by ``fock.Operator``: ``renorm.ground_energy`` groups those labels and
-``renorm.convergence_study`` merges two (``merge_labels``).  A component
-above ``DENSE_SOLVE_CAP`` takes one of two special paths:
+decoupled singletons).  ``fock.Operator`` makes a Hamiltonian
+self-adjoint (``hermitian_part``) and labels its components
+(``component_labels``) once; ``renorm`` groups those labels
+(``group_components``) or merges two sets (``merge_labels``).
+``component_path`` alone decides how a component is treated, from its
+off-diagonal pattern and boson totals, so H - z and H - mu take the
+same path:
 
-* Schur: when its top boson sector is internally diagonal (field terms
-  change the sector), that sector is eliminated exactly and a dense
-  Schur complement on the kept block (at most ``SCHUR_KEPT_CAP`` states)
-  is factored.  ``schur_split`` makes this test and ``schur_complement``
-  forms the complement, for the resolvent (on H - z) and for the inertia
-  certificate of ``renorm.ground_energy`` (on H - mu);
-* GMRES: otherwise, with more than ``GMRES_MIN_ROW_NNZ`` nonzeros per
-  row, a diagonally preconditioned GMRES is used; it converges quickly
-  in exactly these regimes (weak intra-sector coupling), where a direct
-  factorization fills in.
+* dense, at or below ``DENSE_SOLVE_CAP`` states;
+* Schur, above the cap, when the top boson sector is internally
+  diagonal (field terms change the sector) and at most
+  ``SCHUR_KEPT_CAP`` states are kept: that sector is eliminated exactly
+  and ``schur_complement`` forms the dense complement on the kept block,
+  for the resolvent (on H - z) and for the inertia certificate of
+  ``renorm.ground_energy`` (on H - mu);
+* GMRES, above the cap with more than ``GMRES_MIN_ROW_NNZ`` nonzeros per
+  row: diagonally preconditioned, it converges quickly in exactly these
+  regimes (weak intra-sector coupling), where a direct factorization
+  fills in;
+* LU, every other component.
 
-Every other state, singletons included, goes into one sparse LU
-(SuperLU, minimum-degree ordering on A^T + A).
-
-All parts solve a vector or an (n, k) block, and the adjoint with the
-same factorization.  A singular factorization raises ``NumericError``.
+``StructuredResolvent`` builds the Schur and GMRES parts on the labels
+it is given and puts every other state, singletons included, into one
+sparse LU (SuperLU, minimum-degree ordering on A^T + A).  All parts
+solve a vector or an (n, k) block, and the adjoint with the same
+factorization.  A singular factorization raises ``NumericError``.
 """
 
 from __future__ import annotations
@@ -138,18 +142,23 @@ class _GmresSolve:
         return self._run(self.AH, self.MH, b)
 
 
-def schur_split(A: sp.csr_matrix, totals: np.ndarray):
-    """The Schur test of one component above ``DENSE_SOLVE_CAP`` (A already
-    restricted): ``(keep, elim)`` when its top boson sector ``elim`` is
-    internally diagonal and at most ``SCHUR_KEPT_CAP`` states are kept,
-    else ``None``."""
+def component_path(A: sp.csr_matrix, totals: np.ndarray):
+    """The path of one component (see above): ``"dense"``, Schur
+    ``(keep, elim)``, ``"gmres"`` or ``"lu"``, for A = H_c minus any diagonal
+    shift in canonical CSR (a stored zero is no coupling) with boson
+    ``totals``.  The GMRES test counts off-diagonal nonzeros plus n."""
+    n = A.shape[0]
+    if n <= DENSE_SOLVE_CAP:
+        return "dense"
     in_top = totals == totals.max()
-    offdiag = A - sp.diags(A.diagonal())
-    offdiag.eliminate_zeros()
     elim = np.nonzero(in_top)[0]
-    if offdiag[elim][:, elim].nnz or A.shape[0] - len(elim) > SCHUR_KEPT_CAP:
-        return None
-    return np.nonzero(~in_top)[0], elim
+    if n - len(elim) <= SCHUR_KEPT_CAP:
+        rows = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+        coupled = (A.indices != rows) & in_top[rows] & in_top[A.indices] & (A.data != 0)
+        if not np.any(coupled):
+            return np.nonzero(~in_top)[0], elim
+    off = np.count_nonzero(A.data) - np.count_nonzero(A.diagonal())
+    return "gmres" if off + n > GMRES_MIN_ROW_NNZ * n else "lu"
 
 
 def schur_complement(A: sp.csr_matrix, keep: np.ndarray, elim: np.ndarray):
@@ -167,17 +176,6 @@ def schur_complement(A: sp.csr_matrix, keep: np.ndarray, elim: np.ndarray):
     correction = (A_KE.multiply(d_inv[None, :])).tocsr() @ A_EK
     schur = (A[keep][:, keep] - correction).toarray(order="F")
     return A_KE, A_EK, d_inv, schur
-
-
-def _component_solver(A: sp.csr_matrix, totals: np.ndarray):
-    """The Schur or GMRES solver of one component above ``DENSE_SOLVE_CAP``
-    (A already restricted), or ``None`` to leave it to the sparse LU."""
-    split = schur_split(A, totals)
-    if split is not None:
-        return _SchurSolve(A, *split)
-    if A.nnz > GMRES_MIN_ROW_NNZ * A.shape[0]:
-        return _GmresSolve(A)
-    return None
 
 
 def component_labels(M: sp.spmatrix, connection: str = "weak") -> np.ndarray:
@@ -209,11 +207,6 @@ def group_components(labels: np.ndarray):
     order = multi[np.argsort(labels[multi], kind="stable")]
     components = np.split(order, np.cumsum(sizes[sizes > 1]))[:-1]
     return components, np.nonzero(single)[0]
-
-
-def split_components(M: sp.spmatrix):
-    """The components of the coupling graph of ``M`` and its singletons."""
-    return group_components(component_labels(M))
 
 
 def row_blocks(indptr: np.ndarray, step: int | None = None) -> list[tuple[int, int]]:
@@ -269,21 +262,26 @@ def hermitian_part(M: sp.spmatrix) -> tuple[sp.csr_matrix, float]:
 
 class StructuredResolvent:
     """Action of (H - z)^{-1} (and its adjoint) on a vector or an (n, k)
-    block, for a sparse H on a truncated basis.  ``parts`` lists
-    (indices, solver) pairs that partition the basis."""
+    block, for a sparse H on a truncated basis whose components ``labels``
+    name: its ``component_labels``, or an operator's labels restricted to a
+    union of its components.  ``parts`` lists (indices, solver) pairs that
+    partition the basis (see the module docstring)."""
 
-    def __init__(self, H: sp.spmatrix, z: complex, totals_per_index: np.ndarray):
+    def __init__(self, H: sp.spmatrix, z: complex, totals: np.ndarray, labels: np.ndarray):
         A = (H.tocsr() - z * sp.identity(H.shape[0], format="csr", dtype=complex)).tocsr()
         A.eliminate_zeros()
-        components, _ = split_components(A)
         self.parts = []
         rest = np.ones(A.shape[0], dtype=bool)
-        for idx in components:
-            if len(idx) > DENSE_SOLVE_CAP:
-                solver = _component_solver(A[idx][:, idx].tocsr(), totals_per_index[idx])
-                if solver is not None:
-                    self.parts.append((idx, solver))
-                    rest[idx] = False
+        for idx in group_components(labels)[0]:
+            if len(idx) <= DENSE_SOLVE_CAP:  # "dense": joins the sparse LU unsliced
+                continue
+            sub = A[idx][:, idx].tocsr()
+            path = component_path(sub, totals[idx])
+            if path != "lu":
+                solver = _GmresSolve(sub) if path == "gmres" else _SchurSolve(sub, *path)
+                self.parts.append((idx, solver))
+                rest[idx] = False
+            del sub  # not alive while the sparse LU is factored
         rest = np.nonzero(rest)[0]
         if len(rest):
             self.parts.append((rest, _SparseLUSolve(A[rest][:, rest])))

@@ -214,9 +214,12 @@ def _check_grid(basis: OccupationBasis, F: FormFactor):
 
 
 def _occupation_keys(occupations: np.ndarray) -> np.ndarray:
-    """Big-endian (total, occupation) byte keys of occupation rows; the
-    keys of the Fock states ascend in basis order."""
-    keyed = np.hstack([occupations.sum(axis=1)[:, None], occupations]).astype(">u2")
+    """Big-endian (total, occupation) byte keys of occupation rows, written
+    straight into the key array; the keys of the Fock states ascend in
+    basis order."""
+    keyed = np.empty((occupations.shape[0], occupations.shape[1] + 1), dtype=">u2")
+    keyed[:, 0] = occupations.sum(axis=1, dtype=np.uint16)
+    keyed[:, 1:] = occupations
     return keyed.view(f"S{keyed.itemsize * keyed.shape[1]}").ravel()
 
 

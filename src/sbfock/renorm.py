@@ -219,20 +219,16 @@ def opnorm(A) -> float:
     return _top_singular(D, v0, NORM_TOL, NORM_MAX_RESTARTS)
 
 
-def _certified_above(sub: sp.csr_matrix, mu: float, totals: np.ndarray) -> bool:
+def _certified_above(sub: sp.csr_matrix, mu: float, path) -> bool:
     """True when inertia proves lambda_min(sub) > mu (see ``ground_energy``):
-    LAPACK ``potrf`` factors sub - mu, or its Schur complement, with the
-    diagonal lowered by tau = (n+1)^2 eps ||.||_inf, a margin above the
-    Cholesky backward error (Higham 2002, section 10.1).  ``False`` proves
-    nothing."""
+    LAPACK ``potrf`` factors sub - mu on the dense ``path``, or its Schur
+    complement on a Schur one, with the diagonal lowered by
+    tau = (n+1)^2 eps ||.||_inf, a margin above the Cholesky backward
+    error (Higham 2002, section 10.1).  ``False`` proves nothing."""
+    if path in ("gmres", "lu"):
+        return False
     A = (sub - mu * sp.identity(sub.shape[0], format="csr")).tocsr()
-    if sub.shape[0] <= _solvers.DENSE_SOLVE_CAP:
-        a = A.toarray(order="F")
-    else:
-        split = _solvers.schur_split(A, totals)
-        if split is None:
-            return False
-        a = _solvers.schur_complement(A, *split)[3]
+    a = A.toarray(order="F") if path == "dense" else _solvers.schur_complement(A, *path)[3]
     lange, potrf = sla.get_lapack_funcs(("lange", "potrf"), (a,))
     n = a.shape[0]
     a.flat[:: n + 1] -= (n + 1) ** 2 * np.finfo(float).eps * lange("I", a)
@@ -249,16 +245,16 @@ def ground_energy(H: Operator, seed: int = 0) -> float:
 
     A visited component H_c whose diagonal lies above mu is first
     certified by inertia (Sylvester's law) to lie above mu, and skipped:
-    at or below ``_solvers.DENSE_SOLVE_CAP`` by a Cholesky factorization
-    of H_c - mu; above it, when H_c passes the Schur test, by Haynsworth's
-    additivity In(H_c - mu) = In(D_EE - mu) + In(S(mu)), where the
-    eliminated diagonal D_EE - mu is positive and the dense Schur
-    complement S(mu) passes Cholesky.  Each Cholesky runs on a diagonal
-    lowered by tau = (n+1)^2 eps ||.||_inf, a margin above its backward
-    error.  Every other visited component (a diagonal entry at or below
-    mu, a failed factorization, one not Schur-type above the cap) is
-    solved densely at or below the cap and by Lanczos (``eigsh``, started
-    from a vector drawn from ``seed``) above it.
+    on its ``_solvers.component_path`` "dense" by a Cholesky factorization
+    of H_c - mu; on a Schur path by Haynsworth's additivity
+    In(H_c - mu) = In(D_EE - mu) + In(S(mu)), where the eliminated
+    diagonal D_EE - mu is positive and the dense Schur complement S(mu)
+    passes Cholesky.  Each Cholesky runs on a diagonal lowered by
+    tau = (n+1)^2 eps ||.||_inf, a margin above its backward error.  Every
+    other visited component (a diagonal entry at or below mu, a failed
+    factorization, a GMRES or LU path) is solved densely on the dense
+    path and by Lanczos (``eigsh``, started from a vector drawn from
+    ``seed``) on the others.
     """
     mat = H.matrix
     components, singletons = group_components(H.labels)
@@ -274,9 +270,10 @@ def ground_energy(H: Operator, seed: int = 0) -> float:
             break
         idx = components[c]
         sub = mat[idx][:, idx].tocsr()
-        if np.min(diag[idx]) > best and _certified_above(sub, best, totals[idx]):
+        path = _solvers.component_path(sub, totals[idx])
+        if np.min(diag[idx]) > best and _certified_above(sub, best, path):
             continue
-        if len(idx) <= _solvers.DENSE_SOLVE_CAP:
+        if path == "dense":
             low = np.linalg.eigvalsh(sub.toarray())[0]
         else:
             v0 = rng.standard_normal(len(idx))
@@ -501,8 +498,9 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> Converg
         if kept:
             U = np.sort(np.concatenate(kept))
             if not np.array_equal(U, U_lim):
-                U_lim, R_lim = U, StructuredResolvent(lim[U][:, U], STUDY_Z, totals[U])
-            R_L = StructuredResolvent(cut[U][:, U], STUDY_Z, totals[U])
+                R_lim = StructuredResolvent(lim[U][:, U], STUDY_Z, totals[U], H_lim.labels[U])
+                U_lim = U
+            R_L = StructuredResolvent(cut[U][:, U], STUDY_Z, totals[U], H_L.labels[U])
             D = spla.LinearOperator(
                 (len(U), len(U)),
                 matvec=lambda x: R_L.solve(x) - R_lim.solve(x),
@@ -608,7 +606,7 @@ def vanhove_demo(
         shift = bs_norm(v_n, 1.0) ** 2
         H_free = h_reg(basis, np.zeros((1, 1)), v_n)
         apply_W, _ = weyl_action(basis, dress)
-        solver = StructuredResolvent(H_free.matrix, STUDY_Z - shift, totals)
+        solver = StructuredResolvent(H_free.matrix, STUDY_Z - shift, totals, H_free.labels)
         # Y = W[:, sel], so (W^* R W)[sel, sel] = Y^H R Y; W acts column by
         # column (a block expm_multiply is no faster at these sizes)
         Y = np.column_stack([apply_W(e) for e in units.T])

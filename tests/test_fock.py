@@ -102,6 +102,37 @@ def test_enumeration_matches_itertools_and_caches_nothing(n_modes, n_max):
     assert not [name for name, value in vars(fock).items() if hasattr(value, "cache_info")]
 
 
+def test_occupation_keys_match_the_stacked_formula_within_budget():
+    # the keys of a lowered table (every state with one boson removed per
+    # occupied mode), as the basis ranks them; the old formula stacked the
+    # uint64 row sums beside the occupations before the cast, about 5 times
+    # the key bytes at 24 modes
+    import tracemalloc
+
+    from sbfock.fock import _occupation_keys, _occupations
+
+    def stacked_keys(occupations):
+        keyed = np.hstack([occupations.sum(axis=1)[:, None], occupations]).astype(">u2")
+        return keyed.view(f"S{keyed.itemsize * keyed.shape[1]}").ravel()
+
+    occs = _occupations(24, 3)
+    rows, modes = np.nonzero(occs)
+    lowered = occs[rows]
+    lowered[np.arange(len(rows)), modes] -= 1
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        keys = _occupation_keys(lowered)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    want = stacked_keys(lowered)
+    assert keys.dtype == want.dtype and keys.tobytes() == want.tobytes()
+    assert peak <= 1.5 * keys.nbytes
+    basis_keys = _occupation_keys(occs)  # ascending in basis order
+    assert np.all(basis_keys[:-1] < basis_keys[1:])
+
+
 # ------------------------------------------------------------------- dgamma
 
 

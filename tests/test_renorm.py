@@ -728,7 +728,9 @@ def test_convergence_study_mixed_pruned_and_visited_blocks(monkeypatch):
 
 def test_convergence_study_one_structural_pass_per_operator(monkeypatch):
     # H_lim and each H_Lambda get one Hermitian part and one labeling of
-    # their own matrix; no |H_lim| + |H_Lambda| is labeled
+    # their own matrix; no |H_lim| + |H_Lambda| is labeled, and the
+    # resolvents on U take the operators' labels instead of labeling the
+    # matrices on U: the only other labeling is one merge graph per cutoff
     spec = rotating_wave_spec()
     dim = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max).dim
     schedule = [2.0, 8.0, 16.0]
@@ -754,10 +756,19 @@ def test_convergence_study_one_structural_pass_per_operator(monkeypatch):
         solvers, "hermitian_part", recording(solvers.hermitian_part, passes, lambda a, out: out[0])
     )
     monkeypatch.setattr(solvers, "component_labels", recording(solvers.component_labels, labeled, first_arg))
+    merges = []
+    monkeypatch.setattr(renorm, "merge_labels", recording(solvers.merge_labels, merges, lambda a, out: a))
+    resolvents = []
+    monkeypatch.setattr(
+        renorm, "StructuredResolvent", recording(solvers.StructuredResolvent, resolvents, first_arg)
+    )
     convergence_study(spec, schedule)
     full = [M for M in labeled if M.shape[0] == dim]
     assert len(built) == len(passes) == len(full) == 1 + len(schedule)
     assert all(a is b is c for a, b, c in zip(built, passes, full))
+    assert len(merges) == len(schedule) and resolvents  # some blocks were solved
+    graphs = [M for M in labeled if not any(M is H for H in built)]
+    assert [M.shape[0] for M in graphs] == [sum(a.max() + 1 for a in pair) for pair in merges]
 
 
 def random_block_pair(rng, components, n, kind, dtype, skew, z):

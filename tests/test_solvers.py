@@ -53,7 +53,7 @@ def residuals(solver, A_dense, rng, n=4):
 def test_dense_path_matches_inverse(ex2_operators):
     basis, H_ren, _, totals = ex2_operators
     rng = np.random.default_rng(0)
-    solver = StructuredResolvent(H_ren.matrix, 1j, totals)
+    solver = StructuredResolvent(H_ren.matrix, 1j, totals, H_ren.labels)
     A = H_ren.dense() - 1j * np.eye(basis.dim)
     fwd, adj = residuals(solver, A, rng)
     assert fwd <= 1e-12 and adj <= 1e-12
@@ -66,7 +66,7 @@ def test_structured_paths_forced(ex2_operators, which, monkeypatch):
     rng = np.random.default_rng(1)
     monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 64)
     monkeypatch.setattr(solvers, "SCHUR_KEPT_CAP", 400)
-    solver = StructuredResolvent(H.matrix, 1j, totals)
+    solver = StructuredResolvent(H.matrix, 1j, totals, H.labels)
     kinds = {type(s).__name__ for _, s in solver.parts}
     assert len(kinds) > 1  # several strategies exercised
     A = H.dense() - 1j * np.eye(basis.dim)
@@ -88,7 +88,7 @@ def test_sparse_lu_path_on_scalar_field_hamiltonian(monkeypatch):
     basis, H, totals = scalar_field_operator()
     monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 8)
     monkeypatch.setattr(solvers, "SCHUR_KEPT_CAP", 10)
-    solver = StructuredResolvent(H.matrix, 1j, totals)
+    solver = StructuredResolvent(H.matrix, 1j, totals, H.labels)
     [(idx, part)] = solver.parts
     assert isinstance(part, solvers._SparseLUSolve) and len(idx) == basis.dim
     rng = np.random.default_rng(2)
@@ -107,7 +107,7 @@ def test_gmres_zero_rhs_guard():
 def test_singular_sparse_lu_raises_numeric_error():
     H = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(NumericError, match="singular"):
-        StructuredResolvent(H, 1.0, np.array([0, 1]))
+        StructuredResolvent(H, 1.0, np.array([0, 1]), solvers.component_labels(H))
 
 
 def test_singular_schur_complement_raises_numeric_error(monkeypatch):
@@ -115,7 +115,7 @@ def test_singular_schur_complement_raises_numeric_error(monkeypatch):
     H = sp.csr_matrix(np.array([[2.0, 2.0, 1.0], [2.0, 2.0, 1.0], [1.0, 1.0, 1.0]]))
     monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 2)
     with pytest.raises(NumericError, match="Schur"):
-        StructuredResolvent(H, 0.0, np.array([0, 0, 1]))
+        StructuredResolvent(H, 0.0, np.array([0, 0, 1]), solvers.component_labels(H))
 
 
 def test_zero_eliminated_diagonal_raises_numeric_error():
@@ -136,7 +136,7 @@ def assert_block_matches_columns(solver, n, seed):
 
 def test_block_solves_match_columns_sparse_lu(ex2_operators):
     basis, H_ren, _, totals = ex2_operators
-    solver = StructuredResolvent(H_ren.matrix, 1j, totals)
+    solver = StructuredResolvent(H_ren.matrix, 1j, totals, H_ren.labels)
     [(_, part)] = solver.parts
     assert isinstance(part, solvers._SparseLUSolve)
     assert_block_matches_columns(part, basis.dim, 3)
@@ -147,7 +147,7 @@ def test_block_solves_match_columns_schur(ex2_operators, monkeypatch):
     basis, H_ren, _, totals = ex2_operators
     monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 64)
     monkeypatch.setattr(solvers, "SCHUR_KEPT_CAP", 400)
-    solver = StructuredResolvent(H_ren.matrix, 1j, totals)
+    solver = StructuredResolvent(H_ren.matrix, 1j, totals, H_ren.labels)
     schur = [(idx, part) for idx, part in solver.parts if isinstance(part, solvers._SchurSolve)]
     assert schur
     for idx, part in schur:
@@ -169,7 +169,7 @@ def test_dense_rows_above_cap_take_gmres(monkeypatch):
     assert H.nnz > solvers.GMRES_MIN_ROW_NNZ * n
     monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 16)
     # one sector: the top sector is coupled internally, so Schur is ruled out
-    solver = StructuredResolvent(H, 1j, np.zeros(n, dtype=np.int64))
+    solver = StructuredResolvent(H, 1j, np.zeros(n, dtype=np.int64), solvers.component_labels(H))
     [(idx, part)] = solver.parts
     assert isinstance(part, solvers._GmresSolve) and len(idx) == n
     assert_block_matches_columns(part, n, 8)
@@ -186,16 +186,89 @@ def test_scalar_field_component_above_cap_takes_sparse_lu():
     grid, profile = power_law_grid(-0.5, 1.0, 8.0, 4)
     basis = build_basis(grid, SpinSpace(1), 20)
     H = h_reg(basis, np.zeros((1, 1)), FormFactor(grid, np.asarray(profile, dtype=complex)))
-    components, _ = solvers.split_components(H.matrix)
+    components, _ = solvers.group_components(H.labels)
     big = [idx for idx in components if len(idx) > solvers.DENSE_SOLVE_CAP]
     assert len(big) == 1
     assert H.matrix[big[0]][:, big[0]].nnz <= solvers.GMRES_MIN_ROW_NNZ * len(big[0])
-    solver = StructuredResolvent(H.matrix, 1j, basis.totals.astype(np.int64))
+    solver = StructuredResolvent(H.matrix, 1j, basis.totals.astype(np.int64), H.labels)
     [(idx, part)] = solver.parts
     assert isinstance(part, solvers._SparseLUSolve) and len(idx) == basis.dim
 
 
-def test_split_components_weak_connectivity_and_order():
+def shifted(M, z):
+    return (M - z * sp.identity(M.shape[0], format="csr")).tocsr()
+
+
+def schur_component(monkeypatch):
+    # the largest component of the shipped ex2 H_lim: a Schur path above a cap of 64
+    spec, _, _ = parse_config(CONFIGS / "ex2_default.json")
+    basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
+    H = h_renormalized(basis, spec)
+    monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 64)
+    idx = max(solvers.group_components(H.labels)[0], key=len)
+    return H.matrix[idx][:, idx].tocsr(), basis.lift(basis.totals)[idx]
+
+
+def gmres_component(monkeypatch):
+    monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 16)
+    H = dense_coupled_operator()
+    return H, np.zeros(H.shape[0], dtype=np.int64)
+
+
+def lu_component(monkeypatch):
+    monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 8)
+    monkeypatch.setattr(solvers, "SCHUR_KEPT_CAP", 10)
+    _, H, totals = scalar_field_operator()
+    return H.matrix, totals
+
+
+@pytest.mark.parametrize(
+    "make, kind",
+    [(schur_component, tuple), (gmres_component, "gmres"), (lu_component, "lu")],
+    ids=["schur", "gmres", "lu"],
+)
+def test_component_path_is_the_same_for_every_shift(monkeypatch, make, kind):
+    # mu is a diagonal entry: H_c - mu stores one diagonal entry fewer than
+    # H_c - 1j, and the path must not see it
+    H_c, totals = make(monkeypatch)
+    mu = float(H_c.diagonal()[1])
+    at_mu, at_z = shifted(H_c, mu), shifted(H_c, 1j)
+    assert at_mu.count_nonzero() == at_z.count_nonzero() - 1
+    paths = [solvers.component_path(A, totals) for A in (H_c, at_mu, at_z)]
+    if kind is tuple:
+        assert all(isinstance(p, tuple) for p in paths)
+        for keep, elim in paths[1:]:
+            np.testing.assert_array_equal(keep, paths[0][0])
+            np.testing.assert_array_equal(elim, paths[0][1])
+    else:
+        assert paths == [kind] * 3
+
+
+def test_resolvent_on_restricted_labels_matches_relabelled(monkeypatch):
+    # the study's use: U is a union of components of |H_lim| + |H_Lambda|,
+    # so each operator's labels on U are the components of its matrix on U
+    spec, _, _ = parse_config(CONFIGS / "ex2_default.json")
+    basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
+    totals = basis.lift(basis.totals)
+    monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 16)
+    pair = [h_renormalized(basis, spec), h_cutoff(basis, spec, 4.0)[0]]
+    merged, singletons = solvers.group_components(solvers.merge_labels(*(H.labels for H in pair)))
+    U = np.sort(np.concatenate(merged[::2] + [singletons[::2]]))
+    assert 0 < len(U) < basis.dim
+    b = np.random.default_rng(11).standard_normal(len(U)) + 0j
+    for H in pair:
+        M = H.matrix[U][:, U]
+        given = StructuredResolvent(M, 1j, totals[U], H.labels[U])
+        relabelled = StructuredResolvent(M, 1j, totals[U], solvers.component_labels(M))
+        assert len(given.parts) == len(relabelled.parts) > 1
+        for (i, p), (j, q) in zip(given.parts, relabelled.parts):
+            np.testing.assert_array_equal(i, j)
+            assert type(p) is type(q)
+        np.testing.assert_array_equal(given.solve(b), relabelled.solve(b))
+    assert {type(p).__name__ for _, p in given.parts} == {"_SchurSolve", "_SparseLUSolve"}
+
+
+def test_grouped_labels_weak_connectivity_and_order():
     # couplings only above the diagonal: no state reaches a smaller index,
     # so only weak connectivity joins them
     n = 10
@@ -203,7 +276,7 @@ def test_split_components_weak_connectivity_and_order():
     M.setdiag(np.arange(1.0, n + 1))
     for i, j in [(6, 8), (0, 6), (3, 9), (2, 9), (4, 5)]:
         M[i, j] = 0.5 - 0.25j
-    components, singletons = solvers.split_components(M.tocsr())
+    components, singletons = solvers.group_components(solvers.component_labels(M.tocsr()))
     assert [idx.tolist() for idx in components] == [[0, 6, 8], [2, 3, 9], [4, 5]]
     assert singletons.tolist() == [1, 7]
 
@@ -259,7 +332,7 @@ def test_merged_labels_match_split_of_abs_sum(make):
     A, B = make()
     merged = solvers.merge_labels(solvers.component_labels(A), solvers.component_labels(B))
     components, singletons = solvers.group_components(merged)
-    expected, expected_singletons = solvers.split_components(abs(A) + abs(B))
+    expected, expected_singletons = solvers.group_components(solvers.component_labels(abs(A) + abs(B)))
     assert len(components) == len(expected)
     for got, want in zip(components, expected):
         np.testing.assert_array_equal(got, want)
