@@ -28,7 +28,8 @@ same path:
 it is given and puts every other state, singletons included, into one
 sparse LU (SuperLU, minimum-degree ordering on A^T + A).  All parts
 solve a vector or an (n, k) block, and the adjoint with the same
-factorization.  A singular factorization raises ``NumericError``.
+factorization (for Schur, of an exactly Hermitian H).  A singular
+factorization raises ``NumericError``.
 """
 
 from __future__ import annotations
@@ -73,7 +74,11 @@ class _SparseLUSolve:
 
 
 class _SchurSolve:
-    """Eliminate an index set E on which A is strictly diagonal."""
+    """Eliminate an index set E on which A is strictly diagonal.
+
+    The adjoint solves reuse the forward blocks: A = H - z for an exactly
+    Hermitian H (every ``fock.Operator`` matrix), and z shifts only the
+    diagonal, so (A_EK)^* = A_KE and (A_KE)^* = A_EK."""
 
     def __init__(self, A: sp.csr_matrix, keep: np.ndarray, elim: np.ndarray):
         self.keep = keep
@@ -85,33 +90,28 @@ class _SchurSolve:
                 self.factor = sla.lu_factor(schur, overwrite_a=True)
             except sla.LinAlgWarning as exc:
                 raise NumericError(f"singular Schur complement: {exc}") from exc
-        self.A_KE_H = self.A_KE.conj().T.tocsr()
-        self.A_EK_H = self.A_EK.conj().T.tocsr()
+
+    def _solve(self, b, d_inv, trans):
+        b_K = b[self.keep]
+        b_E = b[self.elim]
+        y = b_K - self.A_KE @ _rows(d_inv, b_E)
+        x_K = sla.lu_solve(self.factor, y, trans=trans)
+        x = np.empty_like(b)
+        x[self.keep] = x_K
+        x[self.elim] = _rows(d_inv, b_E - self.A_EK @ x_K)
+        return x
 
     def solve(self, b):
-        b_K = b[self.keep]
-        b_E = b[self.elim]
-        y = b_K - self.A_KE @ _rows(self.d_inv, b_E)
-        x_K = sla.lu_solve(self.factor, y)
-        x = np.empty_like(b)
-        x[self.keep] = x_K
-        x[self.elim] = _rows(self.d_inv, b_E - self.A_EK @ x_K)
-        return x
+        return self._solve(b, self.d_inv, 0)
 
     def adjoint_solve(self, b):
-        b_K = b[self.keep]
-        b_E = b[self.elim]
-        d_inv_H = np.conj(self.d_inv)
-        y = b_K - self.A_EK_H @ _rows(d_inv_H, b_E)
-        x_K = sla.lu_solve(self.factor, y, trans=2)
-        x = np.empty_like(b)
-        x[self.keep] = x_K
-        x[self.elim] = _rows(d_inv_H, b_E - self.A_KE_H @ x_K)
-        return x
+        return self._solve(b, np.conj(self.d_inv), 2)
 
 
 class _GmresSolve:
-    """Diagonally preconditioned GMRES, one column at a time."""
+    """Diagonally preconditioned GMRES, one column at a time.  The adjoint
+    solve is conj(GMRES on A^T with conj(b)): A^T has the diagonal of A, and
+    the transpose of CSR is a CSC view, so no adjoint is stored."""
 
     def __init__(self, A: sp.csr_matrix):
         self.A = A
@@ -119,27 +119,22 @@ class _GmresSolve:
         if np.any(diag == 0):
             raise NumericError("zero diagonal entry in GMRES fallback solver")
         self.M = spla.LinearOperator(A.shape, matvec=lambda x: x / diag, dtype=complex)
-        self.AH = A.conj().T.tocsr()
-        self.MH = spla.LinearOperator(
-            A.shape, matvec=lambda x: x / np.conj(diag), dtype=complex
-        )
 
-    @staticmethod
-    def _run(A, M, b):
+    def _run(self, A, b):
         if b.ndim == 2:
-            return np.column_stack([_GmresSolve._run(A, M, col) for col in b.T])
+            return np.column_stack([self._run(A, col) for col in b.T])
         if not np.any(b):
             return np.zeros_like(b, dtype=complex)
-        x, info = spla.gmres(A, b, M=M, rtol=GMRES_RTOL, atol=0.0, maxiter=GMRES_MAXITER)
+        x, info = spla.gmres(A, b, M=self.M, rtol=GMRES_RTOL, atol=0.0, maxiter=GMRES_MAXITER)
         if info != 0:
             raise NumericError(f"GMRES did not converge (info={info})")
         return x
 
     def solve(self, b):
-        return self._run(self.A, self.M, b)
+        return self._run(self.A, b)
 
     def adjoint_solve(self, b):
-        return self._run(self.AH, self.MH, b)
+        return np.conj(self._run(self.A.T, np.conj(b)))
 
 
 def component_path(A: sp.csr_matrix, totals: np.ndarray):

@@ -38,7 +38,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, NumericError, SbfockError
 from .fock import SpinSpace, build_basis, create, dgamma, field, spin_operator
-from .ibc import IDENTITY_TOL, _sandwich, boundary_ops, restricted_block, t_op, verify_ibc_bounds
+from .ibc import IDENTITY_TOL, restricted_block, t_op, verify_ibc_bounds, xi
 from .dressing import verify_weyl_continuity, verify_weyl_transforms
 from .model import (
     SIGMA_MINUS,
@@ -371,67 +371,64 @@ def _commuting_test_pair(grid, dim, rng):
 def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
     """The identity/bound suite behind the `verify` command."""
     rng = np.random.default_rng(options["seed"])
-    basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
+    spin = SpinSpace(spec.spin_dim)
     dim = spec.spin_dim
     m_safe = max(spec.n_max - 2, 0)
+    # The identity checks read only the block of total boson number <= m_safe,
+    # and each entry of that block involves states of total <= m_safe + 1
+    # alone.  The basis is ordered by total first, so the checks are built on
+    # that prefix of the full basis and give the full basis's values bit for bit.
+    prefix = build_basis(spec.grid, spin, min(spec.n_max, m_safe + 1))
 
     def vanishes(name, X):
         """Identity check that max |X| on the total-boson-number <= m_safe
         block is at most ``IDENTITY_TOL``."""
-        dev = float(np.max(np.abs(restricted_block(basis, X, m_safe))))
+        dev = float(np.max(np.abs(restricted_block(prefix, X, m_safe))))
         return CheckResult(name, dev <= IDENTITY_TOL, dev, IDENTITY_TOL)
 
     suites = [check_structure(spec.coupling)]
 
     ccr = CheckSuite("fock_ccr")
+    dg = dgamma(prefix, spec.grid.omegas)
     for trial in range(3):
         F, G = _commuting_test_pair(spec.grid, dim, rng)
-        phiF = field(basis, F)
-        phiG = field(basis, G)
+        phiF = field(prefix, F)
+        phiG = field(prefix, G)
         comm = phiF @ phiG - phiG @ phiF
-        shift = spin_operator(basis, bs_inner(F, G, 0.0) - bs_inner(G, F, 0.0))
+        shift = spin_operator(prefix, bs_inner(F, G, 0.0) - bs_inner(G, F, 0.0))
         ccr.add(vanishes(f"field_commutator_{trial}", comm - shift))
-        dg = dgamma(basis, spec.grid.omegas)
         omegaF = FormFactor(spec.grid, spec.grid.omegas[:, None, None] * F.values)
-        ad = create(basis, omegaF)
+        ad = create(prefix, omegaF)
         expected = ad - ad.conj().T
         ccr.add(vanishes(f"number_commutator_{trial}", (dg @ phiF - phiF @ dg) - expected))
     suites.append(ccr)
 
     ibc_suite = CheckSuite("ibc_identity")
     lam = spec.lam
+    v_n = spec.coupling.v_n
     for trial in range(2):
         shape = (spec.grid.n_modes, dim, dim)
         F = FormFactor(
             spec.grid, 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         )
-        T = t_op(basis, F, lam)
-        res = sp.diags(basis.lift(1.0 / (basis.energies + lam)))
-        ad = create(basis, F)
-        oracle = ad.conj().T @ res @ ad - spin_operator(basis, bs_inner(F, F, 1.0))
+        T = t_op(prefix, F, lam)
+        res = sp.diags(prefix.lift(1.0 / (prefix.energies + lam)))
+        ad = create(prefix, F)
+        oracle = ad.conj().T @ res @ ad - spin_operator(prefix, bs_inner(F, F, 1.0))
         ibc_suite.add(vanishes(f"normal_ordering_{trial}", T - oracle))
-    # theta0, theta1 and G of V_N, built once for the identity and the bounds
-    ops = boundary_ops(basis, spec.coupling.v_n, lam)
-    if not spec.coupling.v_n.is_zero():
-        theta0_n, theta1_n, G_n = ops
-        Xi = _sandwich(basis, G_n, theta0_n + theta1_n, lam)  # xi(V_N, V_N, lambda)
+    if not v_n.is_zero():
         target = (
-            h_reg(basis, np.zeros((dim, dim)), spec.coupling.v_n).matrix
-            + spin_operator(basis, bs_inner(spec.coupling.v_n, spec.coupling.v_n, 1.0))
-            + lam * sp.identity(basis.dim, format="csr")
+            h_reg(prefix, np.zeros((dim, dim)), v_n).matrix
+            + spin_operator(prefix, bs_inner(v_n, v_n, 1.0))
+            + lam * sp.identity(prefix.dim, format="csr")
         )
-        ibc_suite.add(vanishes("boundary_identity", Xi - target))
+        ibc_suite.add(vanishes("boundary_identity", xi(prefix, v_n, v_n, lam) - target))
     suites.append(ibc_suite)
 
+    basis = build_basis(spec.grid, spin, spec.n_max)
     suites.append(
         verify_ibc_bounds(
-            basis,
-            spec.coupling.v_n,
-            spec.coupling.total(),
-            lam,
-            spec.coupling.s_n,
-            seed=options["seed"],
-            F_ops=ops,
+            basis, v_n, spec.coupling.total(), lam, spec.coupling.s_n, seed=options["seed"]
         )
     )
 

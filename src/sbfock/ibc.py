@@ -175,15 +175,6 @@ def xi(basis: OccupationBasis, F: FormFactor, V: FormFactor, lam: float) -> sp.c
     return _sandwich(basis, g_op(basis, F, lam), t_op(basis, V, lam), lam)
 
 
-def boundary_ops(
-    basis: OccupationBasis, F: FormFactor, lam: float
-) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """theta0, theta1 and G of ``F``: xi(F, F, lambda) is
-    ``_sandwich(basis, G, theta0 + theta1, lam)``, and they are the F side
-    of ``verify_ibc_bounds``, so a caller that needs both builds them once."""
-    return theta0(basis, F, lam), theta1(basis, F, lam), g_op(basis, F, lam)
-
-
 # ------------------------------------------------------------------ bounds
 
 
@@ -194,7 +185,6 @@ def verify_ibc_bounds(
     lam: float,
     s: float,
     seed: int = 0,
-    F_ops: tuple | None = None,
 ) -> CheckSuite:
     """Numerically check the quantitative bounds on Theta, G and xi.
 
@@ -202,8 +192,7 @@ def verify_ibc_bounds(
     random unit vectors (projected onto the truncation-safe block for the
     domain bounds) and judged by ``reports.bound_check``.  Checks whose
     hypotheses fail (non-nilpotent or infrared-supported F for the
-    domain-invariance bounds) are reported as SKIPPED.  ``F_ops`` are the
-    ``boundary_ops(basis, F, lam)`` when the caller already holds them.
+    domain-invariance bounds) are reported as SKIPPED.
     """
     _require_positive(lam)
     if not 1.0 <= s <= 2.0:
@@ -225,9 +214,9 @@ def verify_ibc_bounds(
     norm_diff = bs_norm(FormFactor(basis.grid, F.values - V.values), s)
     weighted = norms((energies + lam)[:, None] ** (s - 1.0) * psis)
 
-    theta0_F, theta1_F, G = boundary_ops(basis, F, lam) if F_ops is None else F_ops
     theta_V = []
-    for ell, th_F, builder in ((0, theta0_F, theta0), (1, theta1_F, theta1)):
+    for ell, builder in ((0, theta0), (1, theta1)):
+        th_F = builder(basis, F, lam)
         th_V = builder(basis, V, lam)
         theta_V.append(th_V)
         # difference bound, then the single-factor specialization
@@ -239,9 +228,11 @@ def verify_ibc_bounds(
             )
         )
         suite.add(bound_check(f"theta{ell}_single_bound", norms(th_F @ psis), norm_F**2 * weighted))
+    del th_F  # the bounds below need only the theta of V
 
     from .renorm import opnorm  # local import to avoid a cycle
 
+    G = g_op(basis, F, lam)
     g_norm = opnorm(G)
     suite.add(bound_check("g_norm_bound", g_norm, norm_F * lam ** ((s - 2.0) / 2.0)))
 

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from sbfock import ConfigError
+import sbfock.cli as cli
 from sbfock.cli import main, parse_config, parse_matrix, run_command
-from sbfock.renorm import vanhove_demo
+from sbfock.fock import SpinSpace, build_basis
+from sbfock.renorm import HamiltonianSpec, vanhove_demo
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -333,6 +335,44 @@ def test_supercritical_verify_fails_only_the_weyl_transforms(tmp_path):
     with open(out / "verify_results.csv", newline="") as fh:
         failed = [r["check"] for r in csv.DictReader(fh) if r["verdict"] == "FAIL"]
     assert failed == ["weyl_transforms/field_transform", "weyl_transforms/number_transform"]
+
+
+def _identity_rows(suites):
+    return [
+        (s.name, r.name, r.passed, repr(r.max_violation), repr(r.tolerance))
+        for s in suites
+        if s.name in ("fock_ccr", "ibc_identity")
+        for r in s.results
+    ]
+
+
+@pytest.mark.parametrize("n_max, level", [(6, 5), (0, 0), (1, 1), (2, 1)])
+def test_verify_identity_suites_run_on_the_prefix_basis(monkeypatch, n_max, level):
+    # the identity checks read the total <= n_max - 2 block, so they are
+    # built on the basis up to one level above it (the whole basis when
+    # n_max <= 1) and must match a build on the whole basis bit for bit
+    spec, _, options = parse_config(CONFIGS / "ex2_default.json")
+    spec = HamiltonianSpec(S=spec.S, coupling=spec.coupling, lam=spec.lam, n_max=n_max)
+    spin = SpinSpace(spec.spin_dim)
+    full_dim = build_basis(spec.grid, spin, n_max).dim
+    dims = []
+    for name in ("t_op", "field", "xi"):
+        monkeypatch.setattr(
+            cli, name,
+            lambda basis, *a, _f=getattr(cli, name): dims.append(basis.dim) or _f(basis, *a),
+        )
+    rows = _identity_rows(cli._run_verify_suites(spec, options))
+    assert len(dims) == 9  # six fields, two T and one xi
+    assert set(dims) == {build_basis(spec.grid, spin, level).dim}
+    if level < n_max:
+        assert max(dims) < full_dim
+
+    # reference: every operator of the suite built on the whole basis
+    monkeypatch.setattr(cli, "build_basis", lambda grid, spin, _: build_basis(grid, spin, n_max))
+    dims.clear()
+    reference = _identity_rows(cli._run_verify_suites(spec, options))
+    assert set(dims) == {full_dim}
+    assert len(rows) == 9 and rows == reference
 
 
 @pytest.mark.parametrize(
