@@ -53,11 +53,13 @@ from .model import (
     bs_norm,
     check_structure,
     power_law_grid,
+    require_structure,
     separable,
     zero_form_factor,
 )
 from .renorm import (
     HamiltonianSpec,
+    check_schedule,
     convergence_study,
     ground_energy,
     h_cutoff,
@@ -291,13 +293,7 @@ def parse_config(path) -> tuple[HamiltonianSpec, list, dict]:
     s_n = _read(cfg["ibc"], "s_n", "ibc", default=2.0)
     coupling = CouplingDecomposition(v_le=v_le, v_d=v_d, v_n=v_n, s_n=s_n)
 
-    structure = check_structure(coupling)
-    for r in structure.results:
-        if not (r.passed or r.skipped):
-            raise ConfigError(
-                f"coupling violates {r.name} (max violation {r.max_violation:.3e})",
-                "spin",
-            )
+    _build("spin", require_structure, coupling)
 
     lam = _read(cfg["ibc"], "lambda", "ibc")
     n_max = _read(cfg["fock"], "n_max", "fock", int)
@@ -305,11 +301,10 @@ def parse_config(path) -> tuple[HamiltonianSpec, list, dict]:
 
     run = cfg["run"]
     schedule = _read(run, "schedule", "run", kind=None)
-    if not isinstance(schedule, list) or not schedule:
-        raise ConfigError("schedule must be a nonempty list of cutoffs", "run.schedule")
+    if not isinstance(schedule, list):
+        raise ConfigError("schedule must be a list of cutoffs", "run.schedule")
     schedule = [_number(x, f"run.schedule[{i}]") for i, x in enumerate(schedule)]
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ConfigError("schedule must be strictly increasing", "run.schedule")
+    schedule = _build("run.schedule", check_schedule, schedule)
 
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     options = {
@@ -538,7 +533,13 @@ def _cmd_report(out: Path) -> int:
     for name in ("verify", "converge", "vanhove", "spectrum"):
         p = out / f"{name}.json"
         if p.exists():
-            payloads.append(json.loads(p.read_text()))
+            try:
+                payload = json.loads(p.read_text())
+            except ValueError as exc:  # malformed JSON or text
+                raise ConfigError(f"{p} is not a JSON output file: {exc}") from None
+            if not isinstance(payload, dict) or "command" not in payload:
+                raise ConfigError(f"{p} is not a JSON object with a command")
+            payloads.append(payload)
     if not payloads:
         print(f"no prior outputs found in {out}", file=sys.stderr)
         return EXIT_CONFIG

@@ -75,9 +75,10 @@ def _hypothesis_violation(F: FormFactor, G: FormFactor) -> float:
 
 
 def verify_weyl_transforms(
-    basis: OccupationBasis, F: FormFactor, G: FormFactor, m: int | None = None
+    basis: OccupationBasis, F: FormFactor, G: FormFactor, m: int
 ) -> CheckSuite:
-    """Check the two conjugation laws of W(F) on a truncation-safe block:
+    """Check the two conjugation laws of W(F) on the block of total boson
+    number at most ``m`` (truncation-safe a few levels below n_max):
 
         W(F) phi(G) W(F)^*  =  phi(G) + <F,G>_{b_0} + <G,F>_{b_0}
         W(F) dG(omega) W(F)^* = dG(omega) + phi(omega F) + <F,F>_{b_-1}
@@ -92,8 +93,6 @@ def verify_weyl_transforms(
         for name in ("field_transform", "number_transform"):
             suite.add(CheckResult(name, True, 0.0, tol, skipped=True, details={"hypothesis": hyp}))
         return suite
-    if m is None:
-        m = max(basis.n_max - 3, 0)
     idx = basis.sector(m)
     _, apply_W_adjoint = weyl_action(basis, F)
     Y = apply_W_adjoint(basis.unit_columns(idx))  # W^*[:, idx]: (W X W^*)[idx, idx] = Y^H X Y
@@ -119,11 +118,12 @@ def verify_weyl_continuity(
     basis: OccupationBasis,
     F: FormFactor,
     G: FormFactor,
-    m: int | None = None,
+    m: int,
     seed: int = 0,
 ) -> CheckSuite:
     """Check the displacement-continuity estimates on
-    ``reports.BOUND_SAMPLES`` random vectors of the sector block.
+    ``reports.BOUND_SAMPLES`` random vectors of the block of total boson
+    number at most ``m``.
 
     The difference of two Weyl operators is controlled by the generator
     difference: with H = i(F-G) (the phase produced by differentiating
@@ -141,8 +141,6 @@ def verify_weyl_continuity(
         for name in ("vector_bound", "theta0_norm_bound", "theta1_norm_bound"):
             suite.add(CheckResult(name, True, 0.0, INEQUALITY_SLACK, skipped=True))
         return suite
-    if m is None:
-        m = max(basis.n_max - 4, 0)
     idx = basis.sector(m)
     units = basis.unit_columns(idx)
     rng = np.random.default_rng(seed)

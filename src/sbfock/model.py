@@ -284,6 +284,21 @@ def check_structure(D: CouplingDecomposition) -> CheckSuite:
     return suite
 
 
+def require_structure(D: CouplingDecomposition) -> None:
+    """Raise ``StructuralError`` on the first failed check of
+    ``check_structure(D)``, with its largest violation or admissibility hint."""
+    for r in check_structure(D).results:
+        if r.passed or r.skipped:
+            continue
+        if r.name == "admissibility":
+            raise StructuralError(
+                "coupling is not admissible: declare a regularity exponent below 2 "
+                "or enlarge the infrared threshold kappa until the 2-nilpotent part "
+                f"has b_2 norm below 1/2 (currently {r.details['b2_norm_v_n']:.4g})"
+            )
+        raise StructuralError(f"coupling violates {r.name} (max violation {r.max_violation:.3e})")
+
+
 def power_law_grid(
     beta: float, kappa: float, Lambda_max: float, n_modes: int
 ) -> tuple[ModeGrid, np.ndarray]:

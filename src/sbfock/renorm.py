@@ -43,8 +43,8 @@ from .model import (
     FormFactor,
     ModeGrid,
     bs_norm,
-    check_structure,
     renorm_energy,
+    require_structure,
     uv_truncate,
 )
 from .reports import CheckResult, CheckSuite
@@ -130,42 +130,37 @@ def h_renormalized(basis: OccupationBasis, spec: HamiltonianSpec) -> Operator:
     representation of the nilpotent part and the dressing transformation
     of the normal part.
 
-    With dressing (V_D != 0) the dense W (core) W^* is formed once and
-    stored as CSR.  The result is independent of spec.lam up to truncation
-    effects.  A Hermiticity defect (rounding noise growing with lambda)
-    above 1e-12 max(1, lambda) raises ``NumericError``.
+    lambda leaves the sparse core xi(V_N, V_N, lambda) + phi(V_le) before
+    the dressing (V_D != 0) forms the dense W (core - lambda) W^* once, so
+    the truncated W never conjugates lambda 1 and the Hermiticity defect
+    does not grow with lambda.  The result is independent of spec.lam up
+    to truncation effects.
     """
-    structure = check_structure(spec.coupling)
-    for r in structure.results:
-        if r.skipped or r.passed:
-            continue
-        if r.name == "admissibility":
-            raise StructuralError(
-                "coupling is not admissible: declare a regularity exponent below 2 "
-                "or enlarge the infrared threshold kappa until the 2-nilpotent part "
-                f"has b_2 norm below 1/2 (currently {r.details['b2_norm_v_n']:.4g})"
-            )
-        raise StructuralError(f"coupling structure check failed: {r.name}")
+    require_structure(spec.coupling)
     lam = spec.lam
     core = xi(basis, spec.coupling.v_n, spec.coupling.v_n, lam)
     core = core + field(basis, spec.coupling.v_le)
+    diag = core.diagonal()
+    if np.all(diag):  # every diagonal entry is stored: subtract lambda in place
+        core.setdiag(diag - lam)
+    else:
+        core = core - lam * sp.identity(basis.dim, format="csr")
     if not spec.coupling.v_d.is_zero():
-        dress = FormFactor(
-            basis.grid, spec.coupling.v_d.values / basis.grid.omegas[:, None, None]
-        )
+        dress = FormFactor(basis.grid, spec.coupling.v_d.values / basis.grid.omegas[:, None, None])
         W = weyl(basis, dress)
         core = sp.csr_matrix(W @ (core @ W.conj().T))
     mat = spin_operator(basis, spec.S) + core
     del core  # one H_lim-sized matrix fewer while the Operator is built
-    diag = mat.diagonal()
-    if np.all(diag):  # every diagonal entry is stored: subtract lambda in place
-        mat.setdiag(diag - lam)
-    else:
-        mat = mat - lam * sp.identity(basis.dim, format="csr")
-    H = Operator(basis, mat)
-    if H.defect > 1e-12 * max(1.0, lam):
-        raise NumericError(f"renormalized operator hermiticity defect {H.defect:.3e}")
-    return H
+    return Operator(basis, mat)
+
+
+def check_schedule(schedule) -> list:
+    """The cutoffs of ``schedule`` as floats; ``StructuralError`` unless
+    they are nonempty and strictly increasing."""
+    schedule = [float(L) for L in schedule]
+    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise StructuralError("schedule must be a nonempty, strictly increasing list of cutoffs")
+    return schedule
 
 
 # ------------------------------------------------------------- linear algebra
@@ -367,16 +362,14 @@ class ConvergenceReport:
         return "PASS" if self.passed else "FAIL"
 
 
-def _lim_bound_terms(H_lim, z: complex):
-    """The terms of ``_block_bounds`` that depend on H_lim alone, formed
-    once per study: p_lim = 1/|h_lim - z| and the row and column sums
-    |O_lim| p_lim and p_lim (|O_lim|^T 1) of O_lim P_lim."""
-    h_lim = H_lim.diagonal()
-    p_lim = 1.0 / np.abs(h_lim - z)
-    a_lim = np.abs(h_lim)  # taken off |H| to leave |O|
-    abs_lim = abs(H_lim)
-    ones = np.ones(H_lim.shape[0])
-    return p_lim, abs_lim @ p_lim - a_lim * p_lim, p_lim * (abs_lim.T @ ones - a_lim)
+def _neumann_terms(H, z: complex):
+    """p = 1/|h - z| and the row sums P|O|1 and |O|P1 of P O and O P, for an
+    exactly Hermitian canonical CSR H = diag h + O and P = diag p."""
+    h = H.diagonal()
+    p = 1.0 / np.abs(h - z)
+    a = np.abs(h)  # taken off |H| to leave |O|
+    abs_H = abs(H)
+    return p, p * (abs_H @ np.ones(H.shape[0]) - a), abs_H @ p - a * p
 
 
 def _block_bounds(H_lim, lim_terms, H_L, z: complex, components):
@@ -385,9 +378,9 @@ def _block_bounds(H_lim, lim_terms, H_L, z: complex, components):
     ``components``, index arrays of blocks that both operators leave
     invariant.  Both are exactly Hermitian canonical CSR matrices, as an
     ``Operator`` stores them.  ``lim_terms`` are the
-    ``_lim_bound_terms(H_lim, z)``, formed once per study.  Each 2-norm
-    is bounded by sqrt(||X||_1 ||X||_inf) of the entrywise |X|, and
-    u_c = min(B1, B2):
+    ``_neumann_terms(H_lim, z)``, formed once per study; those of H_L are
+    formed here.  Each 2-norm is bounded by sqrt(||X||_1 ||X||_inf) of the
+    entrywise |X|, and u_c = min(B1, B2):
 
     * B1 = ||dH_c|| / |Im z|^2, dH = H_lim - H_L, since
       ||(H - z)^{-1}|| <= 1 / |Im z| for self-adjoint H;
@@ -397,9 +390,9 @@ def _block_bounds(H_lim, lim_terms, H_L, z: complex, components):
       both x < 1.
 
     The sums of |dH| are formed in the ``_solvers.row_blocks`` of H_lim,
-    so no |dH| is formed in full.  As dH is exactly Hermitian with sorted
-    rows, each column sum |dH|^T x equals the row sum |dH| x bit for bit,
-    and only row sums are taken.
+    so no |dH| is formed in full.  As dH and O are exactly Hermitian with
+    sorted rows, each column sum |X|^T x equals the row sum |X| x bit for
+    bit, and only row sums are taken.
     """
     sizes = np.array([len(idx) for idx in components])
     order = np.concatenate(components)
@@ -409,24 +402,19 @@ def _block_bounds(H_lim, lim_terms, H_L, z: complex, components):
         rows = np.maximum.reduceat(row_sums[order], starts)
         return np.sqrt(rows * np.maximum.reduceat(col_sums[order], starts))
 
-    p_lim, lim_rows, lim_cols = lim_terms
-    abs_L, h_L = abs(H_L), H_L.diagonal()
-    p_L = 1.0 / np.abs(h_L - z)
-    a_L = np.abs(h_L)
+    p_lim, *lim_sums = lim_terms
+    p_L, *L_sums = _neumann_terms(H_L, z)
     ones = np.ones(H_lim.shape[0])
     dH_ones, dH_p_lim, dH_p_L = np.empty((3, H_lim.shape[0]))
     for a, b in _solvers.row_blocks(H_lim.indptr):
         abs_dH = _solvers.rows_of(H_lim, a, b) - _solvers.rows_of(H_L, a, b)
-        if np.isrealobj(abs_dH.data):
-            np.abs(abs_dH.data, out=abs_dH.data)
-        else:
-            abs_dH = abs(abs_dH)
+        abs_dH.data = np.abs(abs_dH.data)
         dH_ones[a:b] = abs_dH @ ones
         dH_p_lim[a:b] = abs_dH @ p_lim
         dH_p_L[a:b] = abs_dH @ p_L
     b1 = norm_bound(dH_ones, dH_ones) / z.imag**2
-    x_L = norm_bound(p_L * (abs_L @ ones - a_L), abs_L.T @ p_L - a_L * p_L)
-    x_lim = norm_bound(lim_rows, lim_cols)
+    x_L = norm_bound(*L_sums)
+    x_lim = norm_bound(*lim_sums)
     num = norm_bound(p_L * dH_p_lim, p_lim * dH_p_L)
     gap_L, gap_lim = 1 - x_L, 1 - x_lim
     b2 = np.full(len(components), np.inf)
@@ -438,7 +426,8 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> Converg
     """Resolvent-distance study of regularized-plus-counterterm operators
     against the renormalized limit operator on a fixed grid.
 
-    For each cutoff in the schedule, the coupling is truncated, the
+    The schedule must pass ``check_schedule`` before anything is built.
+    For each cutoff in it, the coupling is truncated, the
     counterterm added, and D_Lambda = || (H_Lambda - z)^{-1} - (H_lim - z)^{-1} ||
     recorded at z = ``STUDY_Z``.  Verdict: PASS iff each distance is at
     most (1 + ``NONINCREASING_JITTER``) times the one before plus
@@ -454,8 +443,8 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> Converg
     computed exactly (0 without singletons).  Every other block c is
     bounded by u_c = min(B1, B2) without a solve (see ``_block_bounds``):
     B1 from ||(H - z)^{-1}|| <= 1/|Im z| for self-adjoint H, and B2 from
-    the Neumann series about the diagonals; their terms that depend on
-    H_lim alone are computed once per study (``_lim_bound_terms``).  A
+    the Neumann series about the diagonals; the ``_neumann_terms`` of
+    H_lim are computed once per study, those of H_Lambda once per cutoff.  A
     block with u_c <= s cannot attain the maximum and is pruned.  On the
     union U of the remaining blocks the largest singular value of D_U is
     the square root of the largest eigenvalue of D_U^* D_U, computed by
@@ -471,16 +460,14 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> Converg
     ``OPNORM_MAX_RESTARTS`` caps ARPACK's implicit restarts, beyond which
     ``NumericError`` is raised; an exactly zero D gives D_Lambda = 0.0.
     """
-    schedule = [float(L) for L in schedule]
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise StructuralError("schedule must be strictly increasing")
+    schedule = check_schedule(schedule)
     basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
     H_lim = h_renormalized(basis, spec)
     totals = basis.lift(basis.totals)
     lim = H_lim.matrix
     r_lim = 1.0 / (lim.diagonal() - STUDY_Z)  # singleton blocks of (H_lim - z)^{-1}
     g_lim = ground_energy(H_lim, seed=seed)
-    lim_terms = _lim_bound_terms(lim, STUDY_Z)
+    lim_terms = _neumann_terms(lim, STUDY_Z)
     report = ConvergenceReport(schedule=schedule)
     rng = np.random.default_rng(seed)
     probe = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
@@ -586,9 +573,7 @@ def vanhove_demo(
     the dressed vacuum leaves every fixed vector and the energy diverges:
     no self-energy correction can produce a convergent limit.
     """
-    schedule = [float(L) for L in schedule]
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise StructuralError("schedule must be strictly increasing")
+    schedule = check_schedule(schedule)
     if restrict_m < 0:
         raise ParameterError("sector bound m must be >= 0")
     basis = build_basis(grid, SpinSpace(1), n_max)

@@ -229,6 +229,14 @@ def test_report_on_empty_dir_fails(tmp_path):
     assert run_command("report", None, tmp_path / "empty") == 2
 
 
+@pytest.mark.parametrize("text", ['{"command": ', "[1, 2]", '{"passed": true}'],
+                         ids=["malformed", "not_an_object", "no_command"])
+def test_report_on_a_bad_output_file_is_a_config_error(tmp_path, capsys, text):
+    (tmp_path / "converge.json").write_text(text)
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    assert "converge.json" in capsys.readouterr().err
+
+
 def test_missing_config_is_config_error(tmp_path):
     code = main(["verify", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == 2

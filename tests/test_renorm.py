@@ -334,21 +334,31 @@ def zero_coupling_spec():
     return make_spec(g, None, None, None, None, None, None, 2, n_max=3, S=SIGMA_Z.real)
 
 
+def drop_first_diagonal_entry(X):
+    # X without its (0, 0) entry, which is then absent from the pattern
+    return X - sp.csr_matrix(([X[0, 0]], ([0], [0])), shape=X.shape)
+
+
 @pytest.mark.parametrize("make, stored", [
     pytest.param(lambda: rotating_wave_spec(), True, id="rotating_wave"),
-    pytest.param(lambda: parse_config(REPO / "configs" / "ex2_default.json")[0], False, id="ex2_default"),
-    pytest.param(lambda: zero_coupling_spec(), False, id="zero_coupling"),
+    pytest.param(lambda: parse_config(REPO / "configs" / "ex2_default.json")[0], True, id="ex2_default"),
+    pytest.param(lambda: zero_coupling_spec(), True, id="zero_coupling"),
+    pytest.param(lambda: zero_coupling_spec(), False, id="first_core_entry_absent"),
 ])
-def test_renormalized_lambda_shift_is_bitwise_the_three_term_sum(make, stored):
-    # lambda is subtracted in place on the diagonal of S + core when every
-    # diagonal entry is stored (lambda = 1e5); at lambda = 1 the entry of
-    # (vacuum, spin down) cancels exactly and is not stored
+def test_renormalized_lambda_shift_is_bitwise_the_three_term_sum(monkeypatch, make, stored):
+    # lambda is subtracted from the core xi + phi(V_le) before S is added:
+    # in place on its diagonal when every diagonal entry is stored, as a
+    # sparse difference when one is absent (xi's (0, 0) entry, dropped here)
     spec = make()
     basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
-    core = xi(basis, spec.coupling.v_n, spec.coupling.v_n, spec.lam) + field(basis, spec.coupling.v_le)
-    s_plus_c = spin_operator(basis, spec.S) + core
-    assert np.all(s_plus_c.diagonal()) == stored
-    want = Operator(basis, s_plus_c - spec.lam * sp.identity(basis.dim, format="csr"))
+    if not stored:
+        xi_full = renorm.xi
+        monkeypatch.setattr(renorm, "xi", lambda *args: drop_first_diagonal_entry(xi_full(*args)))
+    core = renorm.xi(basis, spec.coupling.v_n, spec.coupling.v_n, spec.lam)
+    core = core + field(basis, spec.coupling.v_le)
+    assert np.all(core.diagonal()) == stored
+    shifted = core - spec.lam * sp.identity(basis.dim, format="csr")
+    want = Operator(basis, spin_operator(basis, spec.S) + shifted)
     got = h_renormalized(basis, spec)
     assert got.defect == want.defect
     for name in ("data", "indices", "indptr"):
@@ -357,26 +367,54 @@ def test_renormalized_lambda_shift_is_bitwise_the_three_term_sum(make, stored):
 
 @pytest.mark.parametrize(
     "defect, error, code",
-    [
-        pytest.param(1e-11, NumericError, 3, id="lambda_relative_gate"),
-        pytest.param(1e-9, StructuralError, 2, id="hermiticity_tol"),
-    ],
+    [pytest.param(1e-9, StructuralError, 2, id="hermiticity_tol")],
 )
 def test_renormalized_operator_defect_gates(tmp_path, monkeypatch, defect, error, code):
-    # ex2_default has lambda = 1: a defect above 1e-12 max(1, lambda) is a
-    # numeric error, one above HERMITICITY_TOL a structural one; xi gets
-    # an antisymmetric part of that defect between the first two states
+    # a defect above HERMITICITY_TOL is a structural error, judged by
+    # Operator alone; xi gets an antisymmetric part of that defect between
+    # the first two states
     from sbfock.cli import main
 
     config = REPO / "configs" / "ex2_default.json"
     spec, _, _ = parse_config(config)
-    assert spec.lam == 1.0
     xi = renorm.xi
     skew = lambda n: sp.csr_matrix(([defect / 2, -defect / 2], ([0, 1], [1, 0])), shape=(n, n))
     monkeypatch.setattr(renorm, "xi", lambda basis, *args: xi(basis, *args) + skew(basis.dim))
     with pytest.raises(error):
         convergence_study(spec, [2.0])
     assert main(["converge", "--config", str(config), "--out", str(tmp_path / "out")]) == code
+
+
+def test_dressed_defect_does_not_grow_with_lambda(tmp_path):
+    # lambda leaves the core before the truncated W conjugates it, so the
+    # super-critical dressing model's H_lim stays Hermitian to rounding at
+    # any lambda, and its study at lambda = 1e6 FAILs by design (exit 1)
+    # with the rows of lambda = 1, as the limit does not depend on lambda
+    import csv
+
+    from sbfock.cli import main
+
+    config = REPO / "configs" / "converge_supercritical.json"
+    spec, schedule, _ = parse_config(config)
+    assert not spec.coupling.v_d.is_zero()
+    basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
+    for lam in (1.0, 1e3, 1e6, 1e9):
+        H = h_renormalized(basis, HamiltonianSpec(spec.S, spec.coupling, lam, spec.n_max))
+        assert H.defect <= 1e-14
+    cfg = json.loads(config.read_text())
+    cfg["ibc"]["lambda"] = 1e6
+    shifted = tmp_path / "lambda_1e6.json"
+    shifted.write_text(json.dumps(cfg))
+    rows = {}
+    for name, path in (("one", config), ("1e6", shifted)):
+        assert main(["converge", "--config", str(path), "--out", str(tmp_path / name)]) == 1
+        with (tmp_path / name / "converge.csv").open(newline="") as fh:
+            rows[name] = list(csv.DictReader(fh))
+    assert len(rows["one"]) == len(rows["1e6"]) == len(schedule)
+    for one, big in zip(rows["one"], rows["1e6"]):
+        assert big["verdict"] == one["verdict"] == "FAIL"
+        for key in ("Lambda", "E_trace", "resolvent_distance", "ground_energy_reg", "ground_energy_renorm"):
+            assert float(big[key]) == pytest.approx(float(one[key]), rel=1e-9)
 
 
 def test_ground_energy_large_path_matches_closed_form():
@@ -579,6 +617,20 @@ def test_convergence_study_schedule_must_increase():
     spec = make_spec(g, [0.4, 0.3], SIGMA_MINUS, None, None, None, None, dim=2, n_max=3)
     with pytest.raises(StructuralError):
         convergence_study(spec, [2.0, 2.0])
+
+
+def test_empty_schedule_is_rejected_before_the_basis_is_built(monkeypatch):
+    g = grid_of([0.6, 0.9])
+    spec = make_spec(g, [0.4, 0.3], SIGMA_MINUS, None, None, None, None, dim=2, n_max=3)
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("the basis was built")
+
+    monkeypatch.setattr(renorm, "build_basis", no_basis)
+    with pytest.raises(StructuralError, match="nonempty"):
+        convergence_study(spec, [])
+    with pytest.raises(StructuralError, match="nonempty"):
+        vanhove_demo(g, np.array([0.4, 0.3]), [], n_max=4, restrict_m=2)
 
 
 @pytest.mark.slow
@@ -818,7 +870,7 @@ def test_block_bounds_dominate_dense_block_norms(z, kind, dtype, skew):
                 Operator(build_basis(grid_of([1.0]), SpinSpace(1), n - 1), sp.csr_matrix(H_lim))
             continue
         lim = sp.csr_matrix(H_lim)
-        u = renorm._block_bounds(lim, renorm._lim_bound_terms(lim, z), sp.csr_matrix(H_L), z, components)
+        u = renorm._block_bounds(lim, renorm._neumann_terms(lim, z), sp.csr_matrix(H_L), z, components)
         for idx, u_c in zip(components, u):
             block = np.ix_(idx, idx)
             eye = np.eye(len(idx))
@@ -879,7 +931,7 @@ def test_block_bounds_with_lim_terms_formed_once_are_unchanged(z, kind, dtype, s
         H_lim, H_L = random_block_pair(rng, components, n, kind, dtype, skew, z)
         _, H_L2 = random_block_pair(rng, components, n, kind, dtype, skew, z)
         lim = stored(H_lim)
-        terms = renorm._lim_bound_terms(lim, z)
+        terms = renorm._neumann_terms(lim, z)
         for cut in (stored(H_L), stored(H_L2)):
             got = renorm._block_bounds(lim, terms, cut, z, components)
             want = one_shot_block_bounds(lim.copy(), cut, z, components)
@@ -901,7 +953,7 @@ def test_block_bounds_allocation_budget():
     H_L = renorm.h_cutoff(basis, spec, 4.0)[0]
     components, _ = group_components(merge_labels(H_lim.labels, H_L.labels))
     lim, cut = H_lim.matrix, H_L.matrix
-    terms = renorm._lim_bound_terms(lim, renorm.STUDY_Z)
+    terms = renorm._neumann_terms(lim, renorm.STUDY_Z)
     lim_bytes = lim.data.nbytes + lim.indices.nbytes
 
     def traced_peak(fn, *args):
