@@ -57,9 +57,8 @@ from .ibc import (
 )
 from .dressing import verify_weyl_continuity, verify_weyl_transforms, weyl
 from .renorm import (
-    ConvergenceReport,
     HamiltonianSpec,
-    VanHoveReport,
+    StudyReport,
     convergence_study,
     ground_energy,
     h_reg,
@@ -121,9 +120,8 @@ __all__ = [
     "verify_weyl_transforms",
     "weyl",
     # renorm
-    "ConvergenceReport",
     "HamiltonianSpec",
-    "VanHoveReport",
+    "StudyReport",
     "convergence_study",
     "ground_energy",
     "h_reg",

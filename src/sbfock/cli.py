@@ -6,7 +6,9 @@ the only source of a run's settings, the seed (``run.seed``) included:
 every output carries the hash of its config, so the same config gives
 byte-identical outputs.  Spin matrices may be given as named shortcuts
 (sigma_x, sigma_y, sigma_z, sigma_minus, sigma_plus, identity(n),
-kron(a, b)) or as row-major nested lists of [re, im] pairs.
+kron(a, b)) or as row-major nested lists of [re, im] pairs.  A shortcut
+is read by Python's expression parser (``ast``, never evaluated), so its
+nesting is limited by that parser: about 200 levels of parentheses.
 
 Commands
 --------
@@ -24,13 +26,13 @@ included), 3 numeric failure inside a computation.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import hashlib
 import json
 import math
-import re
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +61,7 @@ from .model import (
 )
 from .renorm import (
     HamiltonianSpec,
+    StudyReport,
     check_schedule,
     convergence_study,
     ground_energy,
@@ -97,44 +100,30 @@ def parse_matrix(expr, key_path: str) -> np.ndarray:
         return arr[:, :, 0] + 1j * arr[:, :, 1]
     if not isinstance(expr, str):
         raise ConfigError("matrix must be a shortcut string or [re, im] list", key_path)
-    return _parse_matrix_expr(expr.strip(), key_path)
+    text = expr.strip()
+    try:
+        tree = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError) as exc:  # Python's nesting limit and null bytes included
+        raise ConfigError(f"malformed matrix expression: {getattr(exc, 'msg', exc)}", key_path) from None
+    except (RecursionError, MemoryError):  # the parser's own stack ran out
+        raise ConfigError("matrix expression nests too deeply", key_path) from None
+    return _matrix_node(tree.body, text, key_path)
 
 
-def _split_args(body: str, key_path: str):
-    depth = 0
-    parts = []
-    current = ""
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append(current)
-            current = ""
-        else:
-            current += ch
-    if depth != 0:
-        raise ConfigError("unbalanced parentheses in matrix expression", key_path)
-    parts.append(current)
-    return parts
-
-
-def _parse_matrix_expr(expr: str, key_path: str) -> np.ndarray:
-    if expr in _NAMED_MATRICES:
-        return _NAMED_MATRICES[expr].copy()
-    m = re.fullmatch(r"identity\((\d+)\)", expr)
-    if m:
-        return np.eye(int(m.group(1)), dtype=complex)
-    m = re.fullmatch(r"kron\((.*)\)", expr)
-    if m:
-        parts = _split_args(m.group(1), key_path)
-        if len(parts) != 2:
-            raise ConfigError("kron() takes exactly two arguments", key_path)
-        a = _parse_matrix_expr(parts[0].strip(), key_path)
-        b = _parse_matrix_expr(parts[1].strip(), key_path)
-        return np.kron(a, b)
-    raise ConfigError(f"unknown matrix shortcut {expr!r}", key_path)
+def _matrix_node(node: ast.expr, text: str, key_path: str) -> np.ndarray:
+    """The matrix of a node of the parsed shortcut ``text``: a named matrix,
+    ``identity(n)`` for an int literal n, or ``kron(a, b)`` of two shortcuts."""
+    if isinstance(node, ast.Name) and node.id in _NAMED_MATRICES:
+        return _NAMED_MATRICES[node.id].copy()
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
+        name, args = node.func.id, node.args
+        if name == "kron" and len(args) == 2:
+            return np.kron(*(_matrix_node(arg, text, key_path) for arg in args))
+        if name == "identity" and len(args) == 1:
+            n = args[0]
+            if isinstance(n, ast.Constant) and type(n.value) is int:
+                return np.eye(n.value, dtype=complex)
+    raise ConfigError(f"unknown matrix shortcut {ast.get_source_segment(text, node)!r}", key_path)
 
 
 _SCHEMA = {
@@ -146,16 +135,15 @@ _SCHEMA = {
 }
 
 
-def _check_keys(cfg: dict):
-    unknown = set(cfg) - set(_SCHEMA)
+def _object(table, keys, where: str) -> dict:
+    """``table``, checked to be a JSON object with no key outside ``keys``;
+    otherwise ``ConfigError`` at ``where``."""
+    if not isinstance(table, dict):
+        raise ConfigError("must be an object", where)
+    unknown = set(table) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown section(s) {sorted(unknown)}", "<root>")
-    for section, keys in cfg.items():
-        if not isinstance(keys, dict):
-            raise ConfigError("section must be an object", section)
-        bad = set(keys) - _SCHEMA[section]
-        if bad:
-            raise ConfigError(f"unknown key(s) {sorted(bad)}", section)
+        raise ConfigError(f"unknown key(s) {sorted(unknown)}", where)
+    return table
 
 
 def _number(value, key_path: str, kind=float):
@@ -200,10 +188,8 @@ def _profile_from(entry, base: np.ndarray, mask: np.ndarray, key_path: str) -> n
     if entry is None:
         return np.where(mask, base, 0.0)
     if isinstance(entry, dict):
-        unknown = set(entry) - {"scale"}
-        if unknown:
-            raise ConfigError(f"unknown key(s) {sorted(unknown)}", key_path)
-        return _read(entry, "scale", key_path, default=1.0) * np.where(mask, base, 0.0)
+        scale = _read(_object(entry, {"scale"}, key_path), "scale", key_path, default=1.0)
+        return scale * np.where(mask, base, 0.0)
     if not isinstance(entry, list) or len(entry) != len(base):
         raise ConfigError("explicit profile length must equal the number of modes", key_path)
     vals = np.array([_number(v, f"{key_path}[{i}]") for i, v in enumerate(entry)])
@@ -225,12 +211,11 @@ def parse_config(path) -> tuple[HamiltonianSpec, list, dict]:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc.msg}", line=exc.lineno) from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("top level must be an object")
-    _check_keys(cfg)
-    for section in ("grid", "spin", "fock", "ibc", "run"):
+    _object(cfg, _SCHEMA, "<root>")
+    for section, keys in _SCHEMA.items():
         if section not in cfg:
             raise ConfigError("missing required section", section)
+        _object(cfg[section], keys, section)
 
     grid_section = cfg["grid"]
     family = _read(grid_section, "family", "grid", kind=None)
@@ -249,11 +234,7 @@ def parse_config(path) -> tuple[HamiltonianSpec, list, dict]:
         ks, oms, mus, vs = [], [], [], []
         for i, mode in enumerate(modes):
             where = f"grid.modes[{i}]"
-            if not isinstance(mode, dict):
-                raise ConfigError("mode must be an object", where)
-            bad = set(mode) - {"k", "omega", "mu", "v"}
-            if bad:
-                raise ConfigError(f"unknown key(s) {sorted(bad)}", where)
+            _object(mode, {"k", "omega", "mu", "v"}, where)
             oms.append(_read(mode, "omega", where))
             ks.append(_read(mode, "k", where, default=oms[-1]))
             mus.append(_read(mode, "mu", where, default=1.0))
@@ -461,28 +442,25 @@ def _cmd_verify(spec, schedule, options):
     return columns, rows, all(s.passed for s in suites), summary
 
 
+def _study_outputs(report: StudyReport, **summary):
+    """``_write_outputs`` arguments of a study: the row fields plus the
+    verdict as columns, and the report's checks joined to ``summary``."""
+    columns = [*(f.name for f in fields(report.rows[0])), "verdict"]
+    rows = [(*astuple(r), report.verdict) for r in report.rows]
+    return columns, rows, report.passed, {**report.checks, **summary}
+
+
 def _cmd_converge(spec, schedule, options):
     report = convergence_study(spec, schedule, seed=options["seed"])
     for r in report.rows:
         print(
-            f"Lambda={r.Lambda:g} E_trace={r.e_trace:.6g} distance={r.resolvent_distance:.6g} verdict={report.verdict}"
+            f"Lambda={r.Lambda:g} E_trace={r.E_trace:.6g} distance={r.resolvent_distance:.6g} verdict={report.verdict}"
         )
-    columns = [
-        "Lambda",
-        "E_trace",
-        "resolvent_distance",
-        "ground_energy_reg",
-        "ground_energy_renorm",
-        "verdict",
-    ]
-    rows = [(*astuple(r), report.verdict) for r in report.rows]
-    summary = {
-        "nonincreasing_ok": report.nonincreasing_ok,
-        "decay_ok": report.decay_ok,
-        "distances": [r.resolvent_distance for r in report.rows],
-        "schedule": report.schedule,
-    }
-    return columns, rows, report.passed, summary
+    return _study_outputs(
+        report,
+        distances=[r.resolvent_distance for r in report.rows],
+        schedule=report.schedule,
+    )
 
 
 def _cmd_vanhove(spec, schedule, options):
@@ -498,22 +476,7 @@ def _cmd_vanhove(spec, schedule, options):
             f"Lambda={r.Lambda:g} deviation={r.conjugation_deviation:.3e} "
             f"parity={r.parity_expectation:.6e} ground={r.ground_energy:.6g}"
         )
-    columns = [
-        "Lambda",
-        "conjugation_deviation",
-        "parity_expectation",
-        "parity_oracle",
-        "ground_energy",
-        "ground_oracle",
-        "verdict",
-    ]
-    rows = [(*astuple(r), report.verdict) for r in report.rows]
-    summary = {
-        "conjugation_ok": report.conjugation_ok,
-        "parity_ok": report.parity_ok,
-        "energy_ok": report.energy_ok,
-    }
-    return columns, rows, report.passed, summary
+    return _study_outputs(report)
 
 
 def _cmd_spectrum(spec, schedule, options):
@@ -528,9 +491,17 @@ def _cmd_spectrum(spec, schedule, options):
     return columns, rows, True, {"ground_energies": [r[2] for r in rows]}
 
 
+_HANDLERS = {
+    "verify": _cmd_verify,
+    "converge": _cmd_converge,
+    "vanhove": _cmd_vanhove,
+    "spectrum": _cmd_spectrum,
+}
+
+
 def _cmd_report(out: Path) -> int:
     payloads = []
-    for name in ("verify", "converge", "vanhove", "spectrum"):
+    for name in _HANDLERS:
         p = out / f"{name}.json"
         if p.exists():
             try:
@@ -563,16 +534,10 @@ def run_command(cmd: str, config_path, out_dir) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if cmd == "report":
         return _cmd_report(out)
-    spec, schedule, options = parse_config(config_path)
-    handlers = {
-        "verify": _cmd_verify,
-        "converge": _cmd_converge,
-        "vanhove": _cmd_vanhove,
-        "spectrum": _cmd_spectrum,
-    }
-    if cmd not in handlers:
+    if cmd not in _HANDLERS:
         raise ConfigError(f"unknown command {cmd!r}")
-    columns, rows, passed, summary = handlers[cmd](spec, schedule, options)
+    spec, schedule, options = parse_config(config_path)
+    columns, rows, passed, summary = _HANDLERS[cmd](spec, schedule, options)
     return _write_outputs(out, cmd, options["config_hash"], columns, rows, passed, summary)
 
 
@@ -581,7 +546,7 @@ def main(argv=None) -> int:
         prog="sbfock",
         description="Spin-boson models on truncated Fock spaces: verification and cutoff studies.",
     )
-    parser.add_argument("command", choices=["verify", "converge", "vanhove", "spectrum", "report"])
+    parser.add_argument("command", choices=[*_HANDLERS, "report"])
     parser.add_argument("--config", type=str, help="path to the JSON run configuration")
     parser.add_argument("--out", type=str, default="out", help="output directory")
     args = parser.parse_args(argv)

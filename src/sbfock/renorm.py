@@ -15,7 +15,7 @@ super-critical scalar couplings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -338,28 +338,31 @@ def verify_transformed_operator_identities(seed: int = 0) -> CheckSuite:
 
 
 @dataclass
-class ConvergenceRow:
-    Lambda: float
-    e_trace: float
-    resolvent_distance: float
-    ground_energy_reg: float
-    ground_energy_renorm: float
+class StudyReport:
+    """Outcome of a cutoff study: one row per cutoff of ``schedule`` and
+    the named pass ``checks`` of the study; it passes iff every check
+    holds."""
 
-
-@dataclass
-class ConvergenceReport:
     schedule: list
-    rows: list = dataclass_field(default_factory=list)
-    nonincreasing_ok: bool = False
-    decay_ok: bool = False
+    rows: list
+    checks: dict
 
     @property
     def passed(self) -> bool:
-        return self.nonincreasing_ok and self.decay_ok
+        return all(self.checks.values())
 
     @property
     def verdict(self) -> str:
         return "PASS" if self.passed else "FAIL"
+
+
+@dataclass
+class ConvergenceRow:
+    Lambda: float
+    E_trace: float
+    resolvent_distance: float
+    ground_energy_reg: float
+    ground_energy_renorm: float
 
 
 def _neumann_terms(H, z: complex):
@@ -422,7 +425,7 @@ def _block_bounds(H_lim, lim_terms, H_L, z: complex, components):
     return np.minimum(b1, b2)
 
 
-def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> ConvergenceReport:
+def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> StudyReport:
     """Resolvent-distance study of regularized-plus-counterterm operators
     against the renormalized limit operator on a fixed grid.
 
@@ -468,7 +471,7 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> Converg
     r_lim = 1.0 / (lim.diagonal() - STUDY_Z)  # singleton blocks of (H_lim - z)^{-1}
     g_lim = ground_energy(H_lim, seed=seed)
     lim_terms = _neumann_terms(lim, STUDY_Z)
-    report = ConvergenceReport(schedule=schedule)
+    rows = []
     rng = np.random.default_rng(seed)
     probe = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
     U_lim, R_lim = None, None
@@ -497,21 +500,23 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> Converg
             dist = max(dist, _top_singular(D, probe[U], OPNORM_TOL, OPNORM_MAX_RESTARTS))
             del R_L, D  # not alive while the next cutoff is factored
         g_reg = ground_energy(H_L, seed=seed)
-        report.rows.append(
+        rows.append(
             ConvergenceRow(
                 Lambda=Lam,
-                e_trace=float(np.trace(E_L).real),
+                E_trace=float(np.trace(E_L).real),
                 resolvent_distance=dist,
                 ground_energy_reg=g_reg,
                 ground_energy_renorm=g_lim,
             )
         )
-    dists = [r.resolvent_distance for r in report.rows]
-    report.nonincreasing_ok = all(
-        b <= a * (1.0 + NONINCREASING_JITTER) + OPNORM_ABS_TOL for a, b in zip(dists, dists[1:])
-    )
-    report.decay_ok = dists[-1] < DECAY_FRACTION * dists[0] if dists[0] > 0 else True
-    return report
+    dists = [r.resolvent_distance for r in rows]
+    checks = {
+        "nonincreasing_ok": all(
+            b <= a * (1.0 + NONINCREASING_JITTER) + OPNORM_ABS_TOL for a, b in zip(dists, dists[1:])
+        ),
+        "decay_ok": dists[-1] < DECAY_FRACTION * dists[0] if dists[0] > 0 else True,
+    }
+    return StudyReport(schedule, rows, checks)
 
 
 # ------------------------------------------------------------- van Hove demo
@@ -527,26 +532,9 @@ class VanHoveRow:
     ground_oracle: float
 
 
-@dataclass
-class VanHoveReport:
-    schedule: list
-    rows: list = dataclass_field(default_factory=list)
-    conjugation_ok: bool = False
-    parity_ok: bool = False
-    energy_ok: bool = False
-
-    @property
-    def passed(self) -> bool:
-        return self.conjugation_ok and self.parity_ok and self.energy_ok
-
-    @property
-    def verdict(self) -> str:
-        return "PASS" if self.passed else "FAIL"
-
-
 def vanhove_demo(
     grid: ModeGrid, profile, schedule, *, n_max: int, restrict_m: int
-) -> VanHoveReport:
+) -> StudyReport:
     """Super-critical scalar demonstration on the one-dimensional internal
     eigenvector subspace, for the scalar coupling v = ``profile`` (one
     value per mode of ``grid``) on the occupation basis of total boson
@@ -584,7 +572,7 @@ def vanhove_demo(
     r_free = 1.0 / (basis.lift(basis.energies)[sel] - STUDY_Z)
     par = parity(basis)
 
-    report = VanHoveReport(schedule=schedule)
+    rows = []
     for Lam in schedule:
         v_n = uv_truncate(v_ff, Lam)
         dress = FormFactor(grid, v_n.values[:, 0, 0] / grid.omegas)
@@ -605,7 +593,7 @@ def vanhove_demo(
         parity_oracle = float(np.exp(-2.0 * bs_norm(dress, 0.0) ** 2))
         g = ground_energy(H_free)
         g_oracle = -shift
-        report.rows.append(
+        rows.append(
             VanHoveRow(
                 Lambda=Lam,
                 conjugation_deviation=deviation,
@@ -615,16 +603,18 @@ def vanhove_demo(
                 ground_oracle=g_oracle,
             )
         )
-    devs = [r.conjugation_deviation for r in report.rows]
-    pars = [r.parity_expectation for r in report.rows]
-    grounds = [r.ground_energy for r in report.rows]
-    report.conjugation_ok = all(d <= CONJUGATION_TOL for d in devs)
-    report.parity_ok = (
-        all(b < a for a, b in zip(pars, pars[1:]))
-        and pars[-1] < PARITY_FINAL_FRACTION * pars[0]
-    )
-    report.energy_ok = (
-        all(b < a for a, b in zip(grounds, grounds[1:]))
-        and (grounds[0] - grounds[-1]) > ENERGY_DROP
-    )
-    return report
+    devs = [r.conjugation_deviation for r in rows]
+    pars = [r.parity_expectation for r in rows]
+    grounds = [r.ground_energy for r in rows]
+    checks = {
+        "conjugation_ok": all(d <= CONJUGATION_TOL for d in devs),
+        "parity_ok": (
+            all(b < a for a, b in zip(pars, pars[1:]))
+            and pars[-1] < PARITY_FINAL_FRACTION * pars[0]
+        ),
+        "energy_ok": (
+            all(b < a for a, b in zip(grounds, grounds[1:]))
+            and (grounds[0] - grounds[-1]) > ENERGY_DROP
+        ),
+    }
+    return StudyReport(schedule, rows, checks)

@@ -50,6 +50,10 @@ def test_parse_matrix_shortcuts():
     assert not np.any(kron @ kron)  # 2-nilpotent tensor square
     literal = parse_matrix([[[1, 0], [0, -1]], [[0, 1], [2, 0]]], "t")
     assert literal[0, 1] == -1j and literal[1, 0] == 1j
+    nested = parse_matrix("kron(kron(sigma_x, sigma_z), identity(2))", "t")
+    assert np.array_equal(nested, np.kron(np.kron([[0, 1], [1, 0]], [[1, 0], [0, -1]]), np.eye(2)))
+    spaced = parse_matrix(" kron( sigma_x ,identity( 2 ) ) ", "t")
+    assert np.array_equal(spaced, np.kron([[0, 1], [1, 0]], np.eye(2)))
 
 
 def test_parse_matrix_rejects_garbage():
@@ -57,6 +61,12 @@ def test_parse_matrix_rejects_garbage():
         parse_matrix("sigma_q", "t")
     with pytest.raises(ConfigError):
         parse_matrix([[1, 2], [3, 4]], "t")
+    # the last two: past the parser's stack, and a tree too deep to print
+    for expr in ["kron(sigma_x,", "kron(sigma_x)", "identity(-1)", "identity(2.0)",
+                 "identity(True)", "sigma_x.T", "__import__('os')",
+                 "sigma_x" + ".T" * 100000, " + ".join(["sigma_x"] * 2000)]:
+        with pytest.raises(ConfigError, match=r" at t$"):
+            parse_matrix(expr, "t")
 
 
 # -------------------------------------------------------------- parse_config
@@ -152,6 +162,7 @@ def test_parse_config_explicit_grid(tmp_path):
         ("fock", "n_max", True),
         ("grid", "beta", float("nan")),
         ("run", "schedule", [2.0, float("inf")]),
+        pytest.param("spin", "S", "kron(" * 1200 + "sigma_z" + ", sigma_z)" * 1200, id="deep_kron"),
     ],
 )
 def test_malformed_config_value_exits_config_error(tmp_path, capsys, section, key, value):
@@ -260,6 +271,11 @@ def test_vanhove_small_demo_exit_zero(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "out" / "vanhove.json").read_text())
     assert payload["parity_ok"] and payload["conjugation_ok"] and payload["energy_ok"]
+    header = (tmp_path / "out" / "vanhove.csv").read_text().splitlines()[0]
+    assert header == (
+        "Lambda,conjugation_deviation,parity_expectation,parity_oracle,"
+        "ground_energy,ground_oracle,verdict,config_hash"
+    )
 
 
 def test_vanhove_explicit_grid_matches_direct_call(tmp_path):
@@ -513,3 +529,11 @@ def test_benchmark_dense_distance_check_passes(tmp_path, monkeypatch):
     rows = checks.read_rows(out / "converge.csv")
     assert len(rows) == len(configs["supercritical"]["run"]["schedule"])
     assert checks.check_distances(rows, checks.dense_distances(cfg_path)) == []
+
+
+def test_package_exports_resolve():
+    # every name that ``sbfock.__all__`` exports must exist, so that a
+    # rename in a module cannot leave a dangling name in the export list
+    import sbfock
+
+    assert [name for name in sbfock.__all__ if not hasattr(sbfock, name)] == []

@@ -39,7 +39,6 @@ from sbfock.model import uv_truncate
 import sbfock.renorm as renorm
 from sbfock.renorm import (
     HamiltonianSpec,
-    ConvergenceReport,
     convergence_study,
     ground_energy,
     h_reg,
@@ -609,7 +608,7 @@ def test_convergence_study_constant_below_first_cutoff():
     rep = convergence_study(spec, [2.0, 4.0, 8.0])
     d = [r.resolvent_distance for r in rep.rows]
     assert max(d) - min(d) <= 1e-9
-    assert rep.nonincreasing_ok
+    assert rep.checks["nonincreasing_ok"]
 
 
 def test_convergence_study_schedule_must_increase():
@@ -1055,7 +1054,7 @@ def test_vanhove_canonical_schedule_parity_and_growth():
     pars = [r.parity_expectation for r in rep.rows]
     assert all(b < a for a, b in zip(pars, pars[1:]))
     assert pars[-1] < 0.05 * pars[0]
-    assert rep.energy_ok
+    assert rep.checks["energy_ok"]
 
 
 # ------------------------------------------------- transformed-operator ids
