@@ -86,8 +86,9 @@ _NAMED_MATRICES = {
 }
 
 
-def parse_matrix(expr, key_path: str) -> np.ndarray:
-    """Named shortcut, kron()/identity() expression, or [re, im]-pair lists."""
+def parse_matrix(expr, key_path: str, dim: int | None = None) -> np.ndarray:
+    """Named shortcut, kron()/identity() expression, or [re, im]-pair lists;
+    given ``dim``, one not dim x dim raises ``ConfigError`` before it is built."""
     if isinstance(expr, list):
         try:
             arr = np.asarray(expr, dtype=float)
@@ -97,32 +98,39 @@ def parse_matrix(expr, key_path: str) -> np.ndarray:
             raise ConfigError(
                 "matrix literal must be a square row-major list of [re, im] pairs", key_path
             )
-        return arr[:, :, 0] + 1j * arr[:, :, 1]
-    if not isinstance(expr, str):
+        n, build = arr.shape[0], lambda: arr[:, :, 0] + 1j * arr[:, :, 1]
+    elif isinstance(expr, str):
+        text = expr.strip()
+        try:
+            tree = ast.parse(text, mode="eval")
+        except (SyntaxError, ValueError) as exc:  # Python's nesting limit and null bytes included
+            raise ConfigError(f"malformed matrix expression: {getattr(exc, 'msg', exc)}", key_path) from None
+        except (RecursionError, MemoryError):  # the parser's own stack ran out
+            raise ConfigError("matrix expression nests too deeply", key_path) from None
+        n, build = _matrix_node(tree.body, text, key_path)
+    else:
         raise ConfigError("matrix must be a shortcut string or [re, im] list", key_path)
-    text = expr.strip()
-    try:
-        tree = ast.parse(text, mode="eval")
-    except (SyntaxError, ValueError) as exc:  # Python's nesting limit and null bytes included
-        raise ConfigError(f"malformed matrix expression: {getattr(exc, 'msg', exc)}", key_path) from None
-    except (RecursionError, MemoryError):  # the parser's own stack ran out
-        raise ConfigError("matrix expression nests too deeply", key_path) from None
-    return _matrix_node(tree.body, text, key_path)
+    if dim is not None and n != dim:
+        name = key_path.rsplit(".", 1)[-1]
+        raise ConfigError(f"{name} has shape {(n, n)}, expected ({dim}, {dim})", key_path)
+    return build()
 
 
-def _matrix_node(node: ast.expr, text: str, key_path: str) -> np.ndarray:
-    """The matrix of a node of the parsed shortcut ``text``: a named matrix,
-    ``identity(n)`` for an int literal n, or ``kron(a, b)`` of two shortcuts."""
+def _matrix_node(node: ast.expr, text: str, key_path: str):
+    """(n, build) for a node of the parsed shortcut ``text``: the size of its
+    n x n matrix and a function building it.  The node is a named (2 x 2)
+    matrix, ``identity(n)`` for an int literal n, or ``kron(a, b)`` of two."""
     if isinstance(node, ast.Name) and node.id in _NAMED_MATRICES:
-        return _NAMED_MATRICES[node.id].copy()
+        return 2, _NAMED_MATRICES[node.id].copy
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
         name, args = node.func.id, node.args
         if name == "kron" and len(args) == 2:
-            return np.kron(*(_matrix_node(arg, text, key_path) for arg in args))
+            (m, left), (n, right) = (_matrix_node(arg, text, key_path) for arg in args)
+            return m * n, lambda: np.kron(left(), right())
         if name == "identity" and len(args) == 1:
             n = args[0]
             if isinstance(n, ast.Constant) and type(n.value) is int:
-                return np.eye(n.value, dtype=complex)
+                return n.value, lambda: np.eye(n.value, dtype=complex)
     raise ConfigError(f"unknown matrix shortcut {ast.get_source_segment(text, node)!r}", key_path)
 
 
@@ -249,9 +257,7 @@ def parse_config(path) -> tuple[HamiltonianSpec, list, dict]:
 
     spin_cfg = cfg["spin"]
     dim = _read(spin_cfg, "dim", "spin", int)
-    S = parse_matrix(_read(spin_cfg, "S", "spin", kind=None), "spin.S")
-    if S.shape != (dim, dim):
-        raise ConfigError(f"S has shape {S.shape}, expected ({dim}, {dim})", "spin.S")
+    S = parse_matrix(_read(spin_cfg, "S", "spin", kind=None), "spin.S", dim)
 
     low_mask = grid.ir_mask()
     high_mask = ~low_mask
@@ -260,11 +266,7 @@ def parse_config(path) -> tuple[HamiltonianSpec, list, dict]:
         b_expr = spin_cfg.get(b_key)
         if b_expr is None:
             return zero_form_factor(grid, dim)
-        B = parse_matrix(b_expr, f"spin.{b_key}")
-        if B.shape != (dim, dim):
-            raise ConfigError(
-                f"{b_key} has shape {B.shape}, expected ({dim}, {dim})", f"spin.{b_key}"
-            )
+        B = parse_matrix(b_expr, f"spin.{b_key}", dim)
         prof = _profile_from(spin_cfg.get(v_key), profile, mask, f"spin.{v_key}")
         return separable(grid, prof, B)
 
@@ -393,11 +395,9 @@ def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
         oracle = ad.conj().T @ res @ ad - spin_operator(prefix, bs_inner(F, F, 1.0))
         ibc_suite.add(vanishes(f"normal_ordering_{trial}", T - oracle))
     if not v_n.is_zero():
-        target = (
-            h_reg(prefix, np.zeros((dim, dim)), v_n).matrix
-            + spin_operator(prefix, bs_inner(v_n, v_n, 1.0))
-            + lam * sp.identity(prefix.dim, format="csr")
-        )
+        # xi - lambda = H_reg + <v, v>_{b_1}, each side formed without lambda 1
+        target = h_reg(prefix, np.zeros((dim, dim)), v_n).matrix
+        target = target + spin_operator(prefix, bs_inner(v_n, v_n, 1.0))
         ibc_suite.add(vanishes("boundary_identity", xi(prefix, v_n, v_n, lam) - target))
     suites.append(ibc_suite)
 

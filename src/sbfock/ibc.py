@@ -8,9 +8,9 @@ give the sandwiched representation
 
     xi(F, V, lambda) = (1+G)(dGamma(omega) + lambda - T_V)(1+G*)
 
-whose nilpotent specialization reproduces the regularized Hamiltonian up
-to the counterterm; the verification suite checks that identity and the
-quantitative operator bounds numerically.
+whose nilpotent specialization (``xi`` returns xi - lambda) reproduces the
+regularized Hamiltonian up to the counterterm; the verification suite
+checks that identity and the quantitative operator bounds numerically.
 
 Sign convention for ``theta0``: the summand is
 mu_i F_i^* [ (dGamma+omega_i+lambda)^{-1} - omega_i^{-1} ] F_i, the unique
@@ -157,22 +157,26 @@ def nilpotent_inverse(
 
 
 def _sandwich(
-    basis: OccupationBasis, G: sp.csr_matrix, T: sp.csr_matrix, lam: float
+    basis: OccupationBasis, G: sp.csr_matrix, T: sp.csr_matrix, a: sp.csr_matrix
 ) -> sp.csr_matrix:
-    """(1 + G)(dGamma(omega) + lambda - T)(1 + G*) for G = G_F and T = T_V.
-    T is let go once the core is formed, so a T passed as a temporary (as
-    ``xi`` does) is freed before the products on CPython 3.11 and later."""
+    """xi - lambda = dGamma(omega) + a* + (a - (1 + G) T)(1 + G*) for a = a(F),
+    G = G_F and T = T_V, as G (dGamma + lambda) = a: no lambda 1 term.  At most
+    two products are alive at once; a T passed as a temporary (as ``xi`` does)
+    is freed once the first is formed, on CPython 3.11 and later."""
     eye = sp.identity(basis.dim, format="csr")
-    core = dgamma(basis, basis.grid.omegas) + lam * eye - T
+    left = (eye + G) @ T
     del T
-    left = (eye + G) @ core
-    del core  # one product fewer alive while the second is formed
-    return left @ (eye + G.conj().T)
+    left = a - left
+    left = left @ (eye + G.conj().T)
+    return left + (dgamma(basis, basis.grid.omegas) + a.conj().T)
 
 
 def xi(basis: OccupationBasis, F: FormFactor, V: FormFactor, lam: float) -> sp.csr_matrix:
-    """Sandwiched generator (1 + G_F)(dGamma(omega) + lambda - T_V)(1 + G_F*)."""
-    return _sandwich(basis, g_op(basis, F, lam), t_op(basis, V, lam), lam)
+    """xi(F, V, lambda) - lambda, xi = (1 + G_F)(dGamma(omega) + lambda - T_V)(1 + G_F*)."""
+    _require_positive(lam)
+    a = annihilate(basis, F)
+    G = a @ function_of_dgamma(basis, lambda E: 1.0 / (E + lam))
+    return _sandwich(basis, G, t_op(basis, V, lam), a)
 
 
 # ------------------------------------------------------------------ bounds
@@ -258,7 +262,7 @@ def verify_ibc_bounds(
         return suite
 
     T_V = theta_V[0] + theta_V[1]
-    xi_op = _sandwich(basis, G, T_V, lam)
+    xi_op = _sandwich(basis, G, T_V, annihilate(basis, F))  # xi - lambda
     res = 1.0 / (energies + lam)
     t_rel_norm = opnorm(T_V.multiply(res[None, :]).tocsr())
     omega_low = np.where(basis.grid.omegas <= basis.grid.kappa, basis.grid.omegas, 0.0)
@@ -271,7 +275,10 @@ def verify_ibc_bounds(
     nrm = norms(psis_r)
     keep = nrm >= 1e-12
     psis_r = psis_r[:, keep] / nrm[keep]
-    xi_norms = norms(xi_op @ psis_r) * (1.0 + t_rel_norm)
+    xi_psis = xi_op @ psis_r
+    xi_psis += lam * psis_r  # xi psi, with lambda added to the dense samples alone
+    xi_norms = norms(xi_psis) * (1.0 + t_rel_norm)
+    del xi_psis  # one sample array fewer alive in the norms below
     suite.add(
         bound_check(
             "ir_sector_invariance",

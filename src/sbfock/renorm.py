@@ -5,7 +5,7 @@ couplings whose high-frequency part splits into a normal and a
 2-nilpotent piece, ``h_renormalized`` builds the cutoff-independent
 operator
 
-    S + W(omega^{-1} V_D) ( xi(V_N, V_N, lambda) + phi(V_le) ) W(omega^{-1} V_D)^* - lambda
+    S + W(omega^{-1} V_D) ( xi(V_N, V_N, lambda) - lambda + phi(V_le) ) W(omega^{-1} V_D)^*
 
 whose resolvent is the limit of the regularized-plus-counterterm
 resolvents.  ``convergence_study`` measures that approach on a fixed
@@ -130,21 +130,13 @@ def h_renormalized(basis: OccupationBasis, spec: HamiltonianSpec) -> Operator:
     representation of the nilpotent part and the dressing transformation
     of the normal part.
 
-    lambda leaves the sparse core xi(V_N, V_N, lambda) + phi(V_le) before
-    the dressing (V_D != 0) forms the dense W (core - lambda) W^* once, so
-    the truncated W never conjugates lambda 1 and the Hermiticity defect
-    does not grow with lambda.  The result is independent of spec.lam up
-    to truncation effects.
+    The sparse core xi(V_N, V_N, lambda) - lambda + phi(V_le) holds no
+    lambda 1 term (``ibc.xi``) for the truncated W of the dressing (V_D != 0)
+    to conjugate; the result is independent of spec.lam up to truncation.
     """
     require_structure(spec.coupling)
-    lam = spec.lam
-    core = xi(basis, spec.coupling.v_n, spec.coupling.v_n, lam)
+    core = xi(basis, spec.coupling.v_n, spec.coupling.v_n, spec.lam)
     core = core + field(basis, spec.coupling.v_le)
-    diag = core.diagonal()
-    if np.all(diag):  # every diagonal entry is stored: subtract lambda in place
-        core.setdiag(diag - lam)
-    else:
-        core = core - lam * sp.identity(basis.dim, format="csr")
     if not spec.coupling.v_d.is_zero():
         dress = FormFactor(basis.grid, spec.coupling.v_d.values / basis.grid.omegas[:, None, None])
         W = weyl(basis, dress)

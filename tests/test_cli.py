@@ -69,6 +69,25 @@ def test_parse_matrix_rejects_garbage():
             parse_matrix(expr, "t")
 
 
+def test_parse_config_rejects_matrix_shape_before_building(tmp_path, monkeypatch, capsys):
+    # the shape follows from the parsed shortcut, so a wrong one is a config
+    # error (exit 2) before any matrix is built; building one fails here
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix built before its shape was checked")
+
+    monkeypatch.setattr(np, "eye", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
+    cfg = json.loads((CONFIGS / "ex2_default.json").read_text())
+    wrong_b_n = [[[0, 0]] * 3] * 3
+    for key, value in [("S", "identity(100000)"), ("S", "kron(identity(50000), identity(50000))"),
+                       ("B_N", wrong_b_n)]:
+        p = write_config(tmp_path, {**cfg, "spin": {**cfg["spin"], key: value}})
+        assert main(["verify", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} has shape (" in err and ", expected (2, 2)" in err
+        assert err.rstrip().endswith(f"at spin.{key}")
+
+
 # -------------------------------------------------------------- parse_config
 
 

@@ -333,31 +333,19 @@ def zero_coupling_spec():
     return make_spec(g, None, None, None, None, None, None, 2, n_max=3, S=SIGMA_Z.real)
 
 
-def drop_first_diagonal_entry(X):
-    # X without its (0, 0) entry, which is then absent from the pattern
-    return X - sp.csr_matrix(([X[0, 0]], ([0], [0])), shape=X.shape)
-
-
-@pytest.mark.parametrize("make, stored", [
-    pytest.param(lambda: rotating_wave_spec(), True, id="rotating_wave"),
-    pytest.param(lambda: parse_config(REPO / "configs" / "ex2_default.json")[0], True, id="ex2_default"),
-    pytest.param(lambda: zero_coupling_spec(), True, id="zero_coupling"),
-    pytest.param(lambda: zero_coupling_spec(), False, id="first_core_entry_absent"),
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: rotating_wave_spec(), id="rotating_wave"),
+    pytest.param(lambda: parse_config(REPO / "configs" / "ex2_default.json")[0], id="ex2_default"),
+    pytest.param(lambda: zero_coupling_spec(), id="zero_coupling"),
 ])
-def test_renormalized_lambda_shift_is_bitwise_the_three_term_sum(monkeypatch, make, stored):
-    # lambda is subtracted from the core xi + phi(V_le) before S is added:
-    # in place on its diagonal when every diagonal entry is stored, as a
-    # sparse difference when one is absent (xi's (0, 0) entry, dropped here)
+def test_renormalized_lambda_shift_is_bitwise_the_three_term_sum(make):
+    # xi returns xi - lambda, so H_lim is the sum S + xi + phi(V_le) with
+    # no lambda 1 added or removed
     spec = make()
     basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
-    if not stored:
-        xi_full = renorm.xi
-        monkeypatch.setattr(renorm, "xi", lambda *args: drop_first_diagonal_entry(xi_full(*args)))
-    core = renorm.xi(basis, spec.coupling.v_n, spec.coupling.v_n, spec.lam)
+    core = xi(basis, spec.coupling.v_n, spec.coupling.v_n, spec.lam)
     core = core + field(basis, spec.coupling.v_le)
-    assert np.all(core.diagonal()) == stored
-    shifted = core - spec.lam * sp.identity(basis.dim, format="csr")
-    want = Operator(basis, spin_operator(basis, spec.S) + shifted)
+    want = Operator(basis, spin_operator(basis, spec.S) + core)
     got = h_renormalized(basis, spec)
     assert got.defect == want.defect
     for name in ("data", "indices", "indptr"):
@@ -385,9 +373,9 @@ def test_renormalized_operator_defect_gates(tmp_path, monkeypatch, defect, error
 
 
 def test_dressed_defect_does_not_grow_with_lambda(tmp_path):
-    # lambda leaves the core before the truncated W conjugates it, so the
+    # the core holds no lambda 1 for the truncated W to conjugate, so the
     # super-critical dressing model's H_lim stays Hermitian to rounding at
-    # any lambda, and its study at lambda = 1e6 FAILs by design (exit 1)
+    # any lambda, and its study at lambda = 1e9 FAILs by design (exit 1)
     # with the rows of lambda = 1, as the limit does not depend on lambda
     import csv
 
@@ -401,19 +389,19 @@ def test_dressed_defect_does_not_grow_with_lambda(tmp_path):
         H = h_renormalized(basis, HamiltonianSpec(spec.S, spec.coupling, lam, spec.n_max))
         assert H.defect <= 1e-14
     cfg = json.loads(config.read_text())
-    cfg["ibc"]["lambda"] = 1e6
-    shifted = tmp_path / "lambda_1e6.json"
+    cfg["ibc"]["lambda"] = 1e9
+    shifted = tmp_path / "lambda_1e9.json"
     shifted.write_text(json.dumps(cfg))
     rows = {}
-    for name, path in (("one", config), ("1e6", shifted)):
+    for name, path in (("one", config), ("1e9", shifted)):
         assert main(["converge", "--config", str(path), "--out", str(tmp_path / name)]) == 1
         with (tmp_path / name / "converge.csv").open(newline="") as fh:
             rows[name] = list(csv.DictReader(fh))
-    assert len(rows["one"]) == len(rows["1e6"]) == len(schedule)
-    for one, big in zip(rows["one"], rows["1e6"]):
+    assert len(rows["one"]) == len(rows["1e9"]) == len(schedule)
+    for one, big in zip(rows["one"], rows["1e9"]):
         assert big["verdict"] == one["verdict"] == "FAIL"
         for key in ("Lambda", "E_trace", "resolvent_distance", "ground_energy_reg", "ground_energy_renorm"):
-            assert float(big[key]) == pytest.approx(float(one[key]), rel=1e-9)
+            assert float(big[key]) == pytest.approx(float(one[key]), rel=1e-13)
 
 
 def test_ground_energy_large_path_matches_closed_form():
