@@ -30,6 +30,9 @@ sparse LU (SuperLU, minimum-degree ordering on A^T + A).  All parts
 solve a vector or an (n, k) block, and the adjoint with the same
 factorization (for Schur, of an exactly Hermitian H).  A singular
 factorization raises ``NumericError``.
+
+``opnorm`` (and ``_top_singular``, its Lanczos core) gives the largest
+singular value, for the bounds of ``ibc`` and the distances of ``renorm``.
 """
 
 from __future__ import annotations
@@ -50,6 +53,9 @@ SCHUR_KEPT_CAP = 6144
 GMRES_MIN_ROW_NNZ = 32
 GMRES_RTOL = 1e-12
 GMRES_MAXITER = 400
+# Fixed settings of ``opnorm``
+NORM_TOL = 1e-8  # relative Lanczos accuracy of the squared top singular value
+NORM_MAX_RESTARTS = 10_000  # cap on ARPACK's implicit restarts
 
 
 def _rows(d: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -253,6 +259,54 @@ def hermitian_part(M: sp.spmatrix) -> tuple[sp.csr_matrix, float]:
         halves.append(sp.csr_matrix((S.data * 0.5, S.indices.copy(), S.indptr), shape=S.shape))
     del adj, S
     return sp.vstack(halves, format="csr"), defect
+
+
+def _top_singular(D: spla.LinearOperator, v0, rel_tol: float, max_iter: int) -> float:
+    """Largest singular value of D, as the square root of the largest
+    eigenvalue theta of the Hermitian D^* D.
+
+    Lanczos (ARPACK through ``eigsh``, started from ``v0``; Golub & Kahan
+    1965, Lehoucq, Sorensen & Yang 1998) resolves clustered top singular
+    values.  ``rel_tol`` is ARPACK's relative accuracy of theta = sigma^2
+    and ``max_iter`` its cap on implicit restarts.  Below dimension 3,
+    where ARPACK cannot run, D is formed densely and its 2-norm taken.
+
+    When ARPACK fails and D maps the random start vector ``v0`` to zero,
+    D = 0 and the result is 0.0.  Other failures, no convergence among
+    them, raise ``NumericError``.
+    """
+    n = D.shape[1]
+    if n < 3:  # ARPACK needs k < n - 1
+        return float(np.linalg.norm(D.matmat(np.eye(n)), 2))
+    dhd = spla.LinearOperator((n, n), matvec=lambda x: D.rmatvec(D.matvec(x)), dtype=complex)
+    try:
+        vals, _ = spla.eigsh(dhd, k=1, which="LA", v0=v0, tol=rel_tol, maxiter=max_iter)
+    except spla.ArpackNoConvergence as exc:
+        raise NumericError(
+            f"Lanczos norm estimate did not converge to rel tol {rel_tol} "
+            f"in {max_iter} restarts"
+        ) from exc
+    except spla.ArpackError as exc:
+        if not np.any(D.matvec(v0)):  # D = 0 leaves Lanczos no Krylov space
+            return 0.0
+        raise NumericError(f"Lanczos norm estimate failed: {exc}") from exc
+    return float(np.sqrt(max(float(vals[0]), 0.0)))
+
+
+def opnorm(A) -> float:
+    """Largest singular value of a dense or sparse matrix or a
+    ``LinearOperator``, by Lanczos on A^* A (see ``_top_singular``).
+
+    ``NORM_TOL`` is ARPACK's relative accuracy of the largest eigenvalue
+    sigma^2 of A^* A, so sigma is accurate to about ``NORM_TOL / 2``
+    relative; ``NORM_MAX_RESTARTS`` caps ARPACK's implicit restarts.  The
+    start vector is drawn from seed 0, so the result is deterministic.  A
+    zero A gives 0.0; no convergence raises ``NumericError``.
+    """
+    D = spla.aslinearoperator(A)
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(D.shape[1]) + 1j * rng.standard_normal(D.shape[1])
+    return _top_singular(D, v0, NORM_TOL, NORM_MAX_RESTARTS)
 
 
 class StructuredResolvent:

@@ -86,9 +86,9 @@ _NAMED_MATRICES = {
 }
 
 
-def parse_matrix(expr, key_path: str, dim: int | None = None) -> np.ndarray:
+def parse_matrix(expr, key_path: str, dim: int) -> np.ndarray:
     """Named shortcut, kron()/identity() expression, or [re, im]-pair lists;
-    given ``dim``, one not dim x dim raises ``ConfigError`` before it is built."""
+    one not dim x dim raises ``ConfigError`` before it is built."""
     if isinstance(expr, list):
         try:
             arr = np.asarray(expr, dtype=float)
@@ -110,7 +110,7 @@ def parse_matrix(expr, key_path: str, dim: int | None = None) -> np.ndarray:
         n, build = _matrix_node(tree.body, text, key_path)
     else:
         raise ConfigError("matrix must be a shortcut string or [re, im] list", key_path)
-    if dim is not None and n != dim:
+    if n != dim:
         name = key_path.rsplit(".", 1)[-1]
         raise ConfigError(f"{name} has shape {(n, n)}, expected ({dim}, {dim})", key_path)
     return build()
@@ -349,14 +349,11 @@ def _commuting_test_pair(grid, dim, rng):
 def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
     """The identity/bound suite behind the `verify` command."""
     rng = np.random.default_rng(options["seed"])
-    spin = SpinSpace(spec.spin_dim)
     dim = spec.spin_dim
-    m_safe = max(spec.n_max - 2, 0)
-    # The identity checks read only the block of total boson number <= m_safe,
-    # and each entry of that block involves states of total <= m_safe + 1
-    # alone.  The basis is ordered by total first, so the checks are built on
-    # that prefix of the full basis and give the full basis's values bit for bit.
-    prefix = build_basis(spec.grid, spin, min(spec.n_max, m_safe + 1))
+    basis = build_basis(spec.grid, SpinSpace(dim), spec.n_max)
+    # the identity checks read the block of total <= m_safe alone, so they are
+    # built on the safe prefix and give the full basis's values bit for bit
+    m_safe, prefix = basis.safe_prefix()
 
     def vanishes(name, X):
         """Identity check that max |X| on the total-boson-number <= m_safe
@@ -401,7 +398,6 @@ def _run_verify_suites(spec: HamiltonianSpec, options) -> list:
         ibc_suite.add(vanishes("boundary_identity", xi(prefix, v_n, v_n, lam) - target))
     suites.append(ibc_suite)
 
-    basis = build_basis(spec.grid, spin, spec.n_max)
     suites.append(
         verify_ibc_bounds(
             basis, v_n, spec.coupling.total(), lam, spec.coupling.s_n, seed=options["seed"]

@@ -7,8 +7,8 @@ fastest index).  Discrete modes are orthonormalized, so the per-mode
 ladder operators satisfy [a_i, a_j^*] = delta_ij exactly and all
 quadrature weights enter through sqrt(mu_i) prefactors of the smeared
 operators.  Only this module knows the index layout; the others go
-through ``OccupationBasis.lift``, ``sector`` and ``unit_columns``,
-``spin_operator`` and ``block_diag_operator``.
+through ``OccupationBasis.lift``, ``sector``, ``safe_prefix`` and
+``unit_columns``, ``spin_operator`` and ``block_diag_operator``.
 
 Operator builders return ``scipy.sparse`` CSR matrices; ``Operator`` (a
 matrix with its basis) is the type of the Hamiltonians in ``renorm``.
@@ -128,6 +128,16 @@ class OccupationBasis:
         if m < 0:
             raise ParameterError("sector bound m must be >= 0")
         return np.nonzero(self.lift(self.totals <= m))[0]
+
+    def safe_prefix(self) -> tuple[int, OccupationBasis]:
+        """(m, prefix): m = max(n_max - 2, 0) bounds the total of the truncation-
+        safe block, and the prefix, up to total min(n_max, m + 1), is where
+        a, a^*, G, T and xi take that block: the n_max - 1 prefix, or this basis
+        when n_max <= 1.  The basis is ordered by total first, so the prefix
+        holds its first ``prefix.dim`` states; a check that reads the block
+        alone can be built there."""
+        m = max(self.n_max - 2, 0)
+        return m, self if self.n_max <= 1 else build_basis(self.grid, self.spin, m + 1)
 
     def unit_columns(self, idx) -> np.ndarray:
         """The unit vectors on the indices ``idx`` as the columns of a

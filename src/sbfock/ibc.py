@@ -8,9 +8,10 @@ give the sandwiched representation
 
     xi(F, V, lambda) = (1+G)(dGamma(omega) + lambda - T_V)(1+G*)
 
-whose nilpotent specialization (``xi`` returns xi - lambda) reproduces the
-regularized Hamiltonian up to the counterterm; the verification suite
-checks that identity and the quantitative operator bounds numerically.
+which ``xi`` alone forms (as xi - lambda); its nilpotent specialization
+reproduces the regularized Hamiltonian up to the counterterm.
+``verify_ibc_bounds`` samples the quantitative operator bounds, the
+domain bounds on the safe prefix of the basis.
 
 Sign convention for ``theta0``: the summand is
 mu_i F_i^* [ (dGamma+omega_i+lambda)^{-1} - omega_i^{-1} ] F_i, the unique
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ._solvers import row_blocks
+from ._solvers import opnorm, row_blocks
 from .errors import ParameterError, StructuralError, NumericError
 from .fock import (
     OccupationBasis,
@@ -156,27 +157,21 @@ def nilpotent_inverse(
     return left, eye - G.conj().T
 
 
-def _sandwich(
-    basis: OccupationBasis, G: sp.csr_matrix, T: sp.csr_matrix, a: sp.csr_matrix
-) -> sp.csr_matrix:
-    """xi - lambda = dGamma(omega) + a* + (a - (1 + G) T)(1 + G*) for a = a(F),
-    G = G_F and T = T_V, as G (dGamma + lambda) = a: no lambda 1 term.  At most
-    two products are alive at once; a T passed as a temporary (as ``xi`` does)
-    is freed once the first is formed, on CPython 3.11 and later."""
+def xi(basis: OccupationBasis, F: FormFactor, V: FormFactor, lam: float) -> sp.csr_matrix:
+    """xi(F, V, lambda) - lambda, for xi = (1 + G)(dGamma(omega) + lambda - T)(1 + G*)
+    with G = G_{F,lambda}, T = T_{V,lambda}.  As G (dGamma + lambda) = a for a = a(F),
+    it is dGamma(omega) + a* + (a - (1 + G) T)(1 + G*): no lambda 1 term.  At most
+    two products are alive at once; T is freed once the first is formed."""
+    _require_positive(lam)
+    a = annihilate(basis, F)
+    G = a @ function_of_dgamma(basis, lambda E: 1.0 / (E + lam))
+    T = t_op(basis, V, lam)
     eye = sp.identity(basis.dim, format="csr")
     left = (eye + G) @ T
     del T
     left = a - left
     left = left @ (eye + G.conj().T)
     return left + (dgamma(basis, basis.grid.omegas) + a.conj().T)
-
-
-def xi(basis: OccupationBasis, F: FormFactor, V: FormFactor, lam: float) -> sp.csr_matrix:
-    """xi(F, V, lambda) - lambda, xi = (1 + G_F)(dGamma(omega) + lambda - T_V)(1 + G_F*)."""
-    _require_positive(lam)
-    a = annihilate(basis, F)
-    G = a @ function_of_dgamma(basis, lambda E: 1.0 / (E + lam))
-    return _sandwich(basis, G, t_op(basis, V, lam), a)
 
 
 # ------------------------------------------------------------------ bounds
@@ -193,20 +188,21 @@ def verify_ibc_bounds(
     """Numerically check the quantitative bounds on Theta, G and xi.
 
     Each inequality is evaluated on the same ``reports.BOUND_SAMPLES``
-    random unit vectors (projected onto the truncation-safe block for the
-    domain bounds) and judged by ``reports.bound_check``.  Checks whose
-    hypotheses fail (non-nilpotent or infrared-supported F for the
-    domain-invariance bounds) are reported as SKIPPED.
+    random unit vectors of ``basis`` and judged by ``reports.bound_check``.
+    The two domain-invariance bounds read the samples projected onto the
+    truncation-safe block, so ``t_op`` and ``xi`` build them on the basis's
+    ``safe_prefix``; the Theta, G and G* bounds use the whole basis.  Checks
+    whose hypotheses fail (non-nilpotent or infrared-supported F for the
+    domain bounds) are reported as SKIPPED.
     """
     _require_positive(lam)
     if not 1.0 <= s <= 2.0:
         raise ParameterError("s must lie in [1, 2]")
     rng = np.random.default_rng(seed)
     suite = CheckSuite("ibc_bounds")
-    dim = basis.dim
     energies = basis.lift(basis.energies)
     # one sample per column
-    shape = (BOUND_SAMPLES, dim)
+    shape = (BOUND_SAMPLES, basis.dim)
     psis = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).T
     psis /= np.linalg.norm(psis, axis=0)
 
@@ -218,11 +214,9 @@ def verify_ibc_bounds(
     norm_diff = bs_norm(FormFactor(basis.grid, F.values - V.values), s)
     weighted = norms((energies + lam)[:, None] ** (s - 1.0) * psis)
 
-    theta_V = []
     for ell, builder in ((0, theta0), (1, theta1)):
         th_F = builder(basis, F, lam)
         th_V = builder(basis, V, lam)
-        theta_V.append(th_V)
         # difference bound, then the single-factor specialization
         suite.add(
             bound_check(
@@ -232,9 +226,7 @@ def verify_ibc_bounds(
             )
         )
         suite.add(bound_check(f"theta{ell}_single_bound", norms(th_F @ psis), norm_F**2 * weighted))
-    del th_F  # the bounds below need only the theta of V
-
-    from .renorm import opnorm  # local import to avoid a cycle
+    del th_F, th_V
 
     G = g_op(basis, F, lam)
     g_norm = opnorm(G)
@@ -250,32 +242,31 @@ def verify_ibc_bounds(
                 norm_F * lam ** (s / 2.0 - 1.0) * norms(wr * psis),
             )
         )
+    del G, Gstar_psis
 
     # Domain-invariance bounds require F = F_> and 2-nilpotent F.
     low, _ = ir_split(F, basis.grid.kappa)
-    hypotheses_hold = nilpotency_violation(F.values) <= STRUCTURE_TOL and (
-        low.is_zero() or F.is_zero()
-    )
-    if not hypotheses_hold:
+    if nilpotency_violation(F.values) > STRUCTURE_TOL or not low.is_zero():
         for name in ("ir_sector_invariance", "fractional_domain_bound"):
             suite.add(CheckResult(name, True, 0.0, INEQUALITY_SLACK, skipped=True))
         return suite
 
-    T_V = theta_V[0] + theta_V[1]
-    xi_op = _sandwich(basis, G, T_V, annihilate(basis, F))  # xi - lambda
-    res = 1.0 / (energies + lam)
-    t_rel_norm = opnorm(T_V.multiply(res[None, :]).tocsr())
+    # T keeps the total boson number, so its norm t on the prefix is at most
+    # that on the whole basis: the bounds can only get stricter there
+    m, prefix = basis.safe_prefix()
+    energies = prefix.lift(prefix.energies)
+    t_rel_norm = opnorm(t_op(prefix, V, lam).multiply(1.0 / (energies + lam)[None, :]).tocsr())
     omega_low = np.where(basis.grid.omegas <= basis.grid.kappa, basis.grid.omegas, 0.0)
-    dg_low = basis.lift(basis.occupations.astype(float) @ omega_low)
-    proj = basis.lift((basis.totals <= max(basis.n_max - 2, 0)).astype(float))
+    dg_low = prefix.lift(prefix.occupations.astype(float) @ omega_low)
+    proj = prefix.lift((prefix.totals <= m).astype(float))
 
     # the samples projected onto the truncation-safe block and renormalized;
     # those the projection (nearly) annihilates are dropped
-    psis_r = proj[:, None] * psis
+    psis_r = proj[:, None] * psis[: prefix.dim]
     nrm = norms(psis_r)
     keep = nrm >= 1e-12
     psis_r = psis_r[:, keep] / nrm[keep]
-    xi_psis = xi_op @ psis_r
+    xi_psis = xi(prefix, F, V, lam) @ psis_r
     xi_psis += lam * psis_r  # xi psi, with lambda added to the dense samples alone
     xi_norms = norms(xi_psis) * (1.0 + t_rel_norm)
     del xi_psis  # one sample array fewer alive in the norms below

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _solvers
-from ._solvers import StructuredResolvent, group_components, merge_labels
+from ._solvers import StructuredResolvent, _top_singular, group_components, merge_labels, opnorm
 from .dressing import weyl, weyl_action
 from .errors import NumericError, ParameterError, StructuralError
 from .fock import (
@@ -50,10 +50,6 @@ from .model import (
 from .reports import CheckResult, CheckSuite
 
 TRANSFORM_CHECK_DIM = 64  # dimension of the transformed-operator identity checks
-
-# Fixed settings of ``opnorm``
-NORM_TOL = 1e-8  # relative Lanczos accuracy of the squared top singular value
-NORM_MAX_RESTARTS = 10_000  # cap on ARPACK's implicit restarts
 
 # Fixed settings of the two studies
 STUDY_Z = 1j  # spectral parameter of every resolvent
@@ -156,54 +152,6 @@ def check_schedule(schedule) -> list:
 
 
 # ------------------------------------------------------------- linear algebra
-
-
-def _top_singular(D: spla.LinearOperator, v0, rel_tol: float, max_iter: int) -> float:
-    """Largest singular value of D, as the square root of the largest
-    eigenvalue theta of the Hermitian D^* D.
-
-    Lanczos (ARPACK through ``eigsh``, started from ``v0``; Golub & Kahan
-    1965, Lehoucq, Sorensen & Yang 1998) resolves clustered top singular
-    values.  ``rel_tol`` is ARPACK's relative accuracy of theta = sigma^2
-    and ``max_iter`` its cap on implicit restarts.  Below dimension 3,
-    where ARPACK cannot run, D is formed densely and its 2-norm taken.
-
-    When ARPACK fails and D maps the random start vector ``v0`` to zero,
-    D = 0 and the result is 0.0.  Other failures, no convergence among
-    them, raise ``NumericError``.
-    """
-    n = D.shape[1]
-    if n < 3:  # ARPACK needs k < n - 1
-        return float(np.linalg.norm(D.matmat(np.eye(n)), 2))
-    dhd = spla.LinearOperator((n, n), matvec=lambda x: D.rmatvec(D.matvec(x)), dtype=complex)
-    try:
-        vals, _ = spla.eigsh(dhd, k=1, which="LA", v0=v0, tol=rel_tol, maxiter=max_iter)
-    except spla.ArpackNoConvergence as exc:
-        raise NumericError(
-            f"Lanczos norm estimate did not converge to rel tol {rel_tol} "
-            f"in {max_iter} restarts"
-        ) from exc
-    except spla.ArpackError as exc:
-        if not np.any(D.matvec(v0)):  # D = 0 leaves Lanczos no Krylov space
-            return 0.0
-        raise NumericError(f"Lanczos norm estimate failed: {exc}") from exc
-    return float(np.sqrt(max(float(vals[0]), 0.0)))
-
-
-def opnorm(A) -> float:
-    """Largest singular value of a dense or sparse matrix or a
-    ``LinearOperator``, by Lanczos on A^* A (see ``_top_singular``).
-
-    ``NORM_TOL`` is ARPACK's relative accuracy of the largest eigenvalue
-    sigma^2 of A^* A, so sigma is accurate to about ``NORM_TOL / 2``
-    relative; ``NORM_MAX_RESTARTS`` caps ARPACK's implicit restarts.  The
-    start vector is drawn from seed 0, so the result is deterministic.  A
-    zero A gives 0.0; no convergence raises ``NumericError``.
-    """
-    D = spla.aslinearoperator(A)
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(D.shape[1]) + 1j * rng.standard_normal(D.shape[1])
-    return _top_singular(D, v0, NORM_TOL, NORM_MAX_RESTARTS)
 
 
 def _certified_above(sub: sp.csr_matrix, mu: float, path) -> bool:

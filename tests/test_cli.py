@@ -12,8 +12,9 @@ import pytest
 
 from sbfock import ConfigError
 import sbfock.cli as cli
+import sbfock.ibc as ibc
 from sbfock.cli import main, parse_config, parse_matrix, run_command
-from sbfock.fock import SpinSpace, build_basis
+from sbfock.fock import OccupationBasis, SpinSpace, build_basis
 from sbfock.renorm import HamiltonianSpec, vanhove_demo
 
 REPO = Path(__file__).resolve().parents[1]
@@ -43,30 +44,30 @@ def minimal_ex2(**overrides):
 
 
 def test_parse_matrix_shortcuts():
-    assert np.allclose(parse_matrix("sigma_x", "t"), [[0, 1], [1, 0]])
-    assert np.allclose(parse_matrix("identity(3)", "t"), np.eye(3))
-    kron = parse_matrix("kron(sigma_minus, sigma_minus)", "t")
+    assert np.allclose(parse_matrix("sigma_x", "t", 2), [[0, 1], [1, 0]])
+    assert np.allclose(parse_matrix("identity(3)", "t", 3), np.eye(3))
+    kron = parse_matrix("kron(sigma_minus, sigma_minus)", "t", 4)
     assert kron.shape == (4, 4)
     assert not np.any(kron @ kron)  # 2-nilpotent tensor square
-    literal = parse_matrix([[[1, 0], [0, -1]], [[0, 1], [2, 0]]], "t")
+    literal = parse_matrix([[[1, 0], [0, -1]], [[0, 1], [2, 0]]], "t", 2)
     assert literal[0, 1] == -1j and literal[1, 0] == 1j
-    nested = parse_matrix("kron(kron(sigma_x, sigma_z), identity(2))", "t")
+    nested = parse_matrix("kron(kron(sigma_x, sigma_z), identity(2))", "t", 8)
     assert np.array_equal(nested, np.kron(np.kron([[0, 1], [1, 0]], [[1, 0], [0, -1]]), np.eye(2)))
-    spaced = parse_matrix(" kron( sigma_x ,identity( 2 ) ) ", "t")
+    spaced = parse_matrix(" kron( sigma_x ,identity( 2 ) ) ", "t", 4)
     assert np.array_equal(spaced, np.kron([[0, 1], [1, 0]], np.eye(2)))
 
 
 def test_parse_matrix_rejects_garbage():
     with pytest.raises(ConfigError):
-        parse_matrix("sigma_q", "t")
+        parse_matrix("sigma_q", "t", 2)
     with pytest.raises(ConfigError):
-        parse_matrix([[1, 2], [3, 4]], "t")
+        parse_matrix([[1, 2], [3, 4]], "t", 2)
     # the last two: past the parser's stack, and a tree too deep to print
     for expr in ["kron(sigma_x,", "kron(sigma_x)", "identity(-1)", "identity(2.0)",
                  "identity(True)", "sigma_x.T", "__import__('os')",
                  "sigma_x" + ".T" * 100000, " + ".join(["sigma_x"] * 2000)]:
         with pytest.raises(ConfigError, match=r" at t$"):
-            parse_matrix(expr, "t")
+            parse_matrix(expr, "t", 2)
 
 
 def test_parse_config_rejects_matrix_shape_before_building(tmp_path, monkeypatch, capsys):
@@ -389,6 +390,11 @@ def _identity_rows(suites):
     ]
 
 
+def _whole_basis(basis):
+    """``OccupationBasis.safe_prefix`` with the whole basis as the prefix."""
+    return max(basis.n_max - 2, 0), basis
+
+
 @pytest.mark.parametrize("n_max, level", [(6, 5), (0, 0), (1, 1), (2, 1)])
 def test_verify_identity_suites_run_on_the_prefix_basis(monkeypatch, n_max, level):
     # the identity checks read the total <= n_max - 2 block, so they are
@@ -411,11 +417,45 @@ def test_verify_identity_suites_run_on_the_prefix_basis(monkeypatch, n_max, leve
         assert max(dims) < full_dim
 
     # reference: every operator of the suite built on the whole basis
-    monkeypatch.setattr(cli, "build_basis", lambda grid, spin, _: build_basis(grid, spin, n_max))
+    monkeypatch.setattr(OccupationBasis, "safe_prefix", _whole_basis)
     dims.clear()
     reference = _identity_rows(cli._run_verify_suites(spec, options))
     assert set(dims) == {full_dim}
     assert len(rows) == 9 and rows == reference
+
+
+def _bound_rows(suite):
+    return [(r.name, r.passed, r.skipped, repr(r.max_violation), repr(r.tolerance)) for r in suite.results]
+
+
+@pytest.mark.parametrize("n_max, level", [(6, 5), (2, 1), (1, 1), (0, 0)])
+def test_verify_domain_bounds_run_on_the_prefix_basis(monkeypatch, n_max, level):
+    # the two domain bounds read the samples on the total <= n_max - 2 block,
+    # so T and xi are built on the basis up to one level above it (the whole
+    # basis when n_max <= 1); the rows must match a build on the whole basis
+    spec, _, options = parse_config(CONFIGS / "ex2_default.json")
+    spin = SpinSpace(spec.spin_dim)
+    basis = build_basis(spec.grid, spin, n_max)
+    args = (basis, spec.coupling.v_n, spec.coupling.total(), spec.lam, spec.coupling.s_n)
+    dims = []
+    for name in ("t_op", "xi"):
+        monkeypatch.setattr(
+            ibc, name,
+            lambda basis, *a, _f=getattr(ibc, name): dims.append(basis.dim) or _f(basis, *a),
+        )
+    rows = _bound_rows(ibc.verify_ibc_bounds(*args, seed=options["seed"]))
+    assert len(dims) == 3  # t, and xi with its own T
+    assert set(dims) == {build_basis(spec.grid, spin, level).dim}
+    if level < n_max:
+        assert max(dims) < basis.dim
+    assert [r[0] for r in rows[-2:]] == ["ir_sector_invariance", "fractional_domain_bound"]
+    assert not any(r[2] for r in rows)  # nothing skipped
+
+    monkeypatch.setattr(OccupationBasis, "safe_prefix", _whole_basis)
+    dims.clear()
+    reference = _bound_rows(ibc.verify_ibc_bounds(*args, seed=options["seed"]))
+    assert set(dims) == {basis.dim}
+    assert rows == reference
 
 
 @pytest.mark.parametrize(
@@ -501,7 +541,16 @@ def test_error_inside_command_exits_two(tmp_path, capsys, command, section, key,
 @pytest.mark.parametrize(
     "command, expected",
     [
-        ("verify", {"ibc.verify_ibc_bounds": None, "ibc.theta1": None, "dressing.verify_weyl": None}),
+        # opnorm: ||G|| and t of the domain bounds, through the re-export
+        (
+            "verify",
+            {
+                "ibc.verify_ibc_bounds": None,
+                "ibc.theta1": None,
+                "dressing.verify_weyl": None,
+                "renorm.opnorm": 2,
+            },
+        ),
         # one ground energy per cutoff (three) and one of H_lim
         ("converge", {"renorm.ground_energy": 4, "renorm.h_renormalized": 1}),
     ],
