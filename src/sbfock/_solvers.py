@@ -14,7 +14,7 @@ same path:
 * dense, at or below ``DENSE_SOLVE_CAP`` states;
 * Schur, above the cap, when the top boson sector is internally
   diagonal (field terms change the sector) and at most
-  ``SCHUR_KEPT_CAP`` states are kept: that sector is eliminated exactly
+  ``DENSE_SOLVE_CAP`` states are kept: that sector is eliminated exactly
   and ``schur_complement`` forms the dense complement on the kept block,
   for the resolvent (on H - z) and for the inertia certificate of
   ``renorm.ground_energy`` (on H - mu);
@@ -31,8 +31,13 @@ solve a vector or an (n, k) block, and the adjoint with the same
 factorization (for Schur, of an exactly Hermitian H).  A singular
 factorization raises ``NumericError``.
 
+So no dense matrix the package forms (a dense component, a Schur
+complement, the Weyl operator of ``dressing.weyl``) is larger than
+``DENSE_SOLVE_CAP`` on a side.
+
 ``opnorm`` (and ``_top_singular``, its Lanczos core) gives the largest
-singular value, for the bounds of ``ibc`` and the distances of ``renorm``.
+singular value, for the bounds of ``ibc`` and the distances of ``renorm``,
+within ``NORM_MAX_RESTARTS`` implicit restarts.
 """
 
 from __future__ import annotations
@@ -49,13 +54,11 @@ from scipy.sparse.csgraph import connected_components
 from .errors import NumericError
 
 DENSE_SOLVE_CAP = 4096
-SCHUR_KEPT_CAP = 6144
 GMRES_MIN_ROW_NNZ = 32
 GMRES_RTOL = 1e-12
 GMRES_MAXITER = 400
-# Fixed settings of ``opnorm``
-NORM_TOL = 1e-8  # relative Lanczos accuracy of the squared top singular value
-NORM_MAX_RESTARTS = 10_000  # cap on ARPACK's implicit restarts
+NORM_TOL = 1e-8  # opnorm: relative Lanczos accuracy of the squared top singular value
+NORM_MAX_RESTARTS = 500  # cap on ARPACK's implicit restarts of every top singular value
 
 
 def _rows(d: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -153,7 +156,7 @@ def component_path(A: sp.csr_matrix, totals: np.ndarray):
         return "dense"
     in_top = totals == totals.max()
     elim = np.nonzero(in_top)[0]
-    if n - len(elim) <= SCHUR_KEPT_CAP:
+    if n - len(elim) <= DENSE_SOLVE_CAP:
         rows = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
         coupled = (A.indices != rows) & in_top[rows] & in_top[A.indices] & (A.data != 0)
         if not np.any(coupled):
@@ -210,15 +213,14 @@ def group_components(labels: np.ndarray):
     return components, np.nonzero(single)[0]
 
 
-def row_blocks(indptr: np.ndarray, step: int | None = None) -> list[tuple[int, int]]:
+def row_blocks(indptr: np.ndarray) -> list[tuple[int, int]]:
     """Consecutive row ranges (a, b) that cover a CSR matrix with row
-    pointer ``indptr``, each holding about ``step`` entries: at most
-    ``step`` plus those of its first row.  By default ``step`` is
-    sqrt(n nnz), the geometric mean of one vector and the whole matrix:
-    a block is a small share of a sparse matrix, and a dense one is cut
-    into few blocks."""
+    pointer ``indptr``, each holding about step = sqrt(n nnz) entries (at
+    most step plus those of its first row), the geometric mean of one
+    vector and the whole matrix: a block is a small share of a sparse
+    matrix, and a dense one is cut into few blocks."""
     n, nnz = len(indptr) - 1, int(indptr[-1])
-    step = max(math.isqrt(n * nnz), 1) if step is None else step
+    step = max(math.isqrt(n * nnz), 1)
     cuts = np.searchsorted(indptr[1:], np.arange(step, nnz, step), "right")
     cuts = np.unique(np.concatenate([[0], cuts, [n]]))
     return list(zip(cuts[:-1], cuts[1:]))
@@ -261,14 +263,14 @@ def hermitian_part(M: sp.spmatrix) -> tuple[sp.csr_matrix, float]:
     return sp.vstack(halves, format="csr"), defect
 
 
-def _top_singular(D: spla.LinearOperator, v0, rel_tol: float, max_iter: int) -> float:
+def _top_singular(D: spla.LinearOperator, v0, rel_tol: float) -> float:
     """Largest singular value of D, as the square root of the largest
     eigenvalue theta of the Hermitian D^* D.
 
     Lanczos (ARPACK through ``eigsh``, started from ``v0``; Golub & Kahan
     1965, Lehoucq, Sorensen & Yang 1998) resolves clustered top singular
-    values.  ``rel_tol`` is ARPACK's relative accuracy of theta = sigma^2
-    and ``max_iter`` its cap on implicit restarts.  Below dimension 3,
+    values.  ``rel_tol`` is ARPACK's relative accuracy of theta = sigma^2;
+    ``NORM_MAX_RESTARTS`` caps its implicit restarts.  Below dimension 3,
     where ARPACK cannot run, D is formed densely and its 2-norm taken.
 
     When ARPACK fails and D maps the random start vector ``v0`` to zero,
@@ -280,11 +282,11 @@ def _top_singular(D: spla.LinearOperator, v0, rel_tol: float, max_iter: int) -> 
         return float(np.linalg.norm(D.matmat(np.eye(n)), 2))
     dhd = spla.LinearOperator((n, n), matvec=lambda x: D.rmatvec(D.matvec(x)), dtype=complex)
     try:
-        vals, _ = spla.eigsh(dhd, k=1, which="LA", v0=v0, tol=rel_tol, maxiter=max_iter)
+        vals, _ = spla.eigsh(dhd, k=1, which="LA", v0=v0, tol=rel_tol, maxiter=NORM_MAX_RESTARTS)
     except spla.ArpackNoConvergence as exc:
         raise NumericError(
             f"Lanczos norm estimate did not converge to rel tol {rel_tol} "
-            f"in {max_iter} restarts"
+            f"in {NORM_MAX_RESTARTS} restarts"
         ) from exc
     except spla.ArpackError as exc:
         if not np.any(D.matvec(v0)):  # D = 0 leaves Lanczos no Krylov space
@@ -299,14 +301,14 @@ def opnorm(A) -> float:
 
     ``NORM_TOL`` is ARPACK's relative accuracy of the largest eigenvalue
     sigma^2 of A^* A, so sigma is accurate to about ``NORM_TOL / 2``
-    relative; ``NORM_MAX_RESTARTS`` caps ARPACK's implicit restarts.  The
-    start vector is drawn from seed 0, so the result is deterministic.  A
-    zero A gives 0.0; no convergence raises ``NumericError``.
+    relative.  The start vector is drawn from seed 0, so the result is
+    deterministic.  A zero A gives 0.0; no convergence raises
+    ``NumericError``.
     """
     D = spla.aslinearoperator(A)
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(D.shape[1]) + 1j * rng.standard_normal(D.shape[1])
-    return _top_singular(D, v0, NORM_TOL, NORM_MAX_RESTARTS)
+    return _top_singular(D, v0, NORM_TOL)
 
 
 class StructuredResolvent:

@@ -155,10 +155,10 @@ def verify_weyl_continuity(
     pairing = bs_inner(F, gen_ff, 0.0) + bs_inner(gen_ff, F, 0.0)
     pairing_cols = spin_operator(basis, pairing)[:, idx]
 
-    # sample k draws its real part, then its imaginary part, on the full
-    # basis; its restriction to the block, normalized, is column k
-    draws = rng.standard_normal((BOUND_SAMPLES, 2, basis.dim))
-    psis = (draws[:, 0] + 1j * draws[:, 1])[:, idx].T
+    # sample k draws its real part, then its imaginary part, on the block;
+    # normalized, it is column k
+    draws = rng.standard_normal((BOUND_SAMPLES, 2, len(idx)))
+    psis = (draws[:, 0] + 1j * draws[:, 1]).T
     psis /= np.linalg.norm(psis, axis=0)
     suite.add(
         bound_check(

@@ -35,7 +35,7 @@ from .fock import (
     function_of_dgamma,
     spin_operator,
 )
-from .model import STRUCTURE_TOL, FormFactor, bs_norm, ir_split, nilpotency_violation
+from .model import STRUCTURE_TOL, FormFactor, bs_norm, nilpotency_violation
 from .reports import BOUND_SAMPLES, INEQUALITY_SLACK, CheckResult, CheckSuite, bound_check
 
 #: Absolute tolerance for identity checks on truncation-safe blocks.
@@ -68,12 +68,11 @@ def theta1(basis: OccupationBasis, F: FormFactor, lam: float) -> sp.csr_matrix:
     which turns each term into diag * a*(F) * a_r.  Preserves total boson
     number.
 
-    Each mode's term is formed once; the terms are then summed in row
-    blocks, each holding about as many of their entries as the largest
-    term (at most that plus one row), so no staging array outgrows about
-    one term.  Within a row the entries meet in the same order as in one
-    sum over all rows (term by term), so the result is the same bit for
-    bit.
+    Each mode's term is formed once; the terms are then summed in the
+    ``row_blocks`` of their joint row pointer, each holding about
+    sqrt(n N) of their N entries (at most that plus one row), so no
+    staging array outgrows one block.  Within a row the entries meet in the same order as in one sum over
+    all rows (term by term), so the result is the same bit for bit.
     """
     _require_positive(lam)
     ad_full = create(basis, F)
@@ -89,8 +88,6 @@ def theta1(basis: OccupationBasis, F: FormFactor, lam: float) -> sp.csr_matrix:
         if a_r.nnz == 0:
             continue
         right = ad_full @ spin_operator(basis, eye_spin, a_r)
-        if right.nnz == 0:
-            continue
         diag_vals = np.sqrt(mus[r]) / (basis.energies + omegas[r] + lam)
         left = spin_operator(basis, fr_star, sp.diags(diag_vals))
         terms.append(left @ right)
@@ -102,7 +99,7 @@ def theta1(basis: OccupationBasis, F: FormFactor, lam: float) -> sp.csr_matrix:
             t.data = _entries(t.data)
     staged = sum(t.indptr.astype(np.int64) for t in terms)  # row pointer of all the entries
     blocks = []
-    for a, b in row_blocks(staged, max(t.nnz for t in terms)):
+    for a, b in row_blocks(staged):
         data, rows, cols = [], [], []
         for t in terms:  # rows a:b of each term, as COO triplets in term order
             lo, hi = t.indptr[a], t.indptr[b]
@@ -245,8 +242,8 @@ def verify_ibc_bounds(
     del G, Gstar_psis
 
     # Domain-invariance bounds require F = F_> and 2-nilpotent F.
-    low, _ = ir_split(F, basis.grid.kappa)
-    if nilpotency_violation(F.values) > STRUCTURE_TOL or not low.is_zero():
+    ir = basis.grid.ir_mask()
+    if nilpotency_violation(F.values) > STRUCTURE_TOL or np.any(F.values[ir]):
         for name in ("ir_sector_invariance", "fractional_domain_bound"):
             suite.add(CheckResult(name, True, 0.0, INEQUALITY_SLACK, skipped=True))
         return suite
@@ -256,7 +253,7 @@ def verify_ibc_bounds(
     m, prefix = basis.safe_prefix()
     energies = prefix.lift(prefix.energies)
     t_rel_norm = opnorm(t_op(prefix, V, lam).multiply(1.0 / (energies + lam)[None, :]).tocsr())
-    omega_low = np.where(basis.grid.omegas <= basis.grid.kappa, basis.grid.omegas, 0.0)
+    omega_low = np.where(ir, basis.grid.omegas, 0.0)
     dg_low = prefix.lift(prefix.occupations.astype(float) @ omega_low)
     proj = prefix.lift((prefix.totals <= m).astype(float))
 

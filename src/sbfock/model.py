@@ -156,15 +156,14 @@ def bs_norm(F: FormFactor, s: float) -> float:
     return float(np.sqrt(np.sum(w * opnorms**2)))
 
 
-def ir_split(F: FormFactor, kappa: float) -> tuple[FormFactor, FormFactor]:
-    """Split into (F restricted to omega <= kappa, F restricted to omega > kappa).
+def ir_split(F: FormFactor) -> tuple[FormFactor, FormFactor]:
+    """Split into (F restricted to omega <= kappa, F restricted to omega > kappa)
+    at the infrared threshold of its grid (``ModeGrid.ir_mask``).
 
     The boundary omega == kappa belongs to the infrared part.  The two
     parts sum back to F entry-for-entry.
     """
-    if not kappa > 0:
-        raise ParameterError("kappa must be positive")
-    low = F.grid.omegas <= kappa
+    low = F.grid.ir_mask()
     vals_low = np.where(low[:, None, None], F.values, 0.0)
     vals_high = np.where(low[:, None, None], 0.0, F.values)
     return FormFactor(F.grid, vals_low), FormFactor(F.grid, vals_high)
@@ -184,7 +183,7 @@ def renorm_energy(F: FormFactor) -> np.ndarray:
     Positive semidefinite; this is the energy subtracted from regularized
     Hamiltonians so that their resolvents converge as the cutoff grows.
     """
-    _, high = ir_split(F, F.grid.kappa)
+    _, high = ir_split(F)
     return bs_inner(high, high, 1.0)
 
 
@@ -246,10 +245,9 @@ def check_structure(D: CouplingDecomposition) -> CheckSuite:
     grid = D.grid
     low = grid.ir_mask()
 
-    viol_le = _max_abs(D.v_le.values[~low]) if np.any(~low) else 0.0
-    viol_d = _max_abs(D.v_d.values[low]) if np.any(low) else 0.0
-    viol_n = _max_abs(D.v_n.values[low]) if np.any(low) else 0.0
-    support = max(viol_le, viol_d, viol_n)
+    support = max(
+        _max_abs(D.v_le.values[~low]), _max_abs(D.v_d.values[low]), _max_abs(D.v_n.values[low])
+    )
     suite.add(CheckResult("support", support <= tol, support, tol))
 
     vd = D.v_d.values

@@ -56,7 +56,6 @@ STUDY_Z = 1j  # spectral parameter of every resolvent
 NONINCREASING_JITTER = 0.10  # convergence: allowed relative rise between distances
 OPNORM_TOL = 1e-6  # convergence: relative Lanczos accuracy of the squared top singular value
 OPNORM_ABS_TOL = 1e-7  # convergence: absolute floor below which a rise counts as a tie
-OPNORM_MAX_RESTARTS = 500  # convergence: cap on ARPACK's implicit restarts per distance
 DECAY_FRACTION = 0.10  # convergence: last distance below this share of the first
 CONJUGATION_TOL = 1e-7  # van Hove: largest resolvent deviation
 PARITY_FINAL_FRACTION = 0.05  # van Hove: last parity below this share of the first
@@ -400,8 +399,8 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> StudyRe
     maximum, so only sigma_max(D_U) carries an iteration error:
     ``OPNORM_TOL`` is the relative accuracy requested of its square,
     so it is accurate to about ``OPNORM_TOL / 2`` relative;
-    ``OPNORM_MAX_RESTARTS`` caps ARPACK's implicit restarts, beyond which
-    ``NumericError`` is raised; an exactly zero D gives D_Lambda = 0.0.
+    ``_solvers.NORM_MAX_RESTARTS`` caps ARPACK's implicit restarts, beyond
+    which ``NumericError`` is raised; an exactly zero D gives D_Lambda = 0.0.
     """
     schedule = check_schedule(schedule)
     basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
@@ -437,7 +436,7 @@ def convergence_study(spec: HamiltonianSpec, schedule, seed: int = 0) -> StudyRe
                 rmatvec=lambda x: R_L.adjoint_solve(x) - R_lim.adjoint_solve(x),
                 dtype=complex,
             )
-            dist = max(dist, _top_singular(D, probe[U], OPNORM_TOL, OPNORM_MAX_RESTARTS))
+            dist = max(dist, _top_singular(D, probe[U], OPNORM_TOL))
             del R_L, D  # not alive while the next cutoff is factored
         g_reg = ground_energy(H_L, seed=seed)
         rows.append(

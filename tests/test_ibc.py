@@ -168,7 +168,7 @@ def test_theta1_in_row_blocks_equals_one_shot_bitwise(spin, monkeypatch):
         F = random_ff(g, 2, rng)
     else:
         F = separable(g, profile, SIGMA_MINUS if spin == "sigma_minus" else SIGMA_Y)
-    basis = build_basis(g, SpinSpace(spin_dim), 4)
+    basis = build_basis(g, SpinSpace(spin_dim), 5)
     blocks = []
 
     def recording(*args):

@@ -103,7 +103,7 @@ def test_bs_norm_high_part_inclusion_inequality():
     rng = np.random.default_rng(11)
     g = grid_of([0.7, 1.3, 2.0, 8.0], kappa=1.0)
     F = random_form_factor(g, 2, rng)
-    _, Fhigh = ir_split(F, g.kappa)
+    _, Fhigh = ir_split(F)
     for s, sp_ in [(0.0, 1.0), (1.0, 2.0), (0.5, 1.7), (1.0, 1.0)]:
         lhs = bs_norm(Fhigh, sp_) ** 2
         rhs = g.kappa ** (s - sp_) * bs_norm(Fhigh, s) ** 2
@@ -115,14 +115,14 @@ def test_bs_norm_high_part_inclusion_inequality():
 
 def test_ir_split_zero():
     g = grid_of([1.0, 2.0])
-    lo, hi = ir_split(zero_form_factor(g, 2), 1.0)
+    lo, hi = ir_split(zero_form_factor(g, 2))
     assert lo.is_zero() and hi.is_zero()
 
 
 def test_ir_split_threshold_partition():
     g = grid_of([0.5, 3.0])
     F = separable(g, [1.0, 1.0], SIGMA_X)
-    lo, hi = ir_split(F, 1.0)
+    lo, hi = ir_split(F)
     assert np.allclose(lo.values[0], SIGMA_X) and not np.any(lo.values[1])
     assert not np.any(hi.values[0]) and np.allclose(hi.values[1], SIGMA_X)
 
@@ -130,7 +130,7 @@ def test_ir_split_threshold_partition():
 def test_ir_split_boundary_belongs_to_infrared():
     g = grid_of([1.0, 1.0])
     F = separable(g, [1.0, 1.0], SIGMA_X)
-    lo, hi = ir_split(F, 1.0)
+    lo, hi = ir_split(F)
     assert np.array_equal(lo.values, F.values)
     assert hi.is_zero()
 
@@ -139,7 +139,7 @@ def test_ir_split_reconstructs_exactly():
     rng = np.random.default_rng(3)
     g = grid_of([0.3, 0.9, 1.0, 1.1, 7.0])
     F = random_form_factor(g, 2, rng)
-    lo, hi = ir_split(F, 1.0)
+    lo, hi = ir_split(F)
     assert np.array_equal(lo.values + hi.values, F.values)
 
 

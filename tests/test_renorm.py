@@ -565,10 +565,10 @@ def near_minimum_block():
         pytest.param(near_minimum_block(), None, id="within_margin"),
         # diagonal 0 above -1, lambda_min = -1.6 cos(pi/12) below it: the
         # Schur complement fails Cholesky
-        pytest.param(chain(np.zeros(11), 0.8).real, 4, id="below"),
+        pytest.param(chain(np.zeros(11), 0.8).real, 10, id="below"),
         # top (eliminated) diagonal -1.2 <= -1, where the Schur complement
         # alone would be positive definite
-        pytest.param(chain([0.0] * 10 + [-1.2], 0.3 + 0.1j), 4, id="nonpositive_eliminated"),
+        pytest.param(chain([0.0] * 10 + [-1.2], 0.3 + 0.1j), 10, id="nonpositive_eliminated"),
     ],
 )
 def test_ground_energy_uncertified_components_are_eigensolved(monkeypatch, block, cap):
@@ -981,7 +981,7 @@ def test_h_renormalized_allocation_budget():
 
 def test_convergence_study_lanczos_nonconvergence_raises(monkeypatch):
     # one ARPACK restart does not resolve the clustered top singular values
-    monkeypatch.setattr(renorm, "OPNORM_MAX_RESTARTS", 1)
+    monkeypatch.setattr(renorm._solvers, "NORM_MAX_RESTARTS", 1)
     with pytest.raises(NumericError, match="did not converge"):
         convergence_study(supercritical_spec(), [2.0])
 

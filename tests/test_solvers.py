@@ -65,7 +65,6 @@ def test_structured_paths_forced(ex2_operators, which, monkeypatch):
     H = H_ren if which == "ren" else H_reg
     rng = np.random.default_rng(1)
     monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 64)
-    monkeypatch.setattr(solvers, "SCHUR_KEPT_CAP", 400)
     solver = StructuredResolvent(H.matrix, 1j, totals, H.labels)
     kinds = {type(s).__name__ for _, s in solver.parts}
     assert len(kinds) > 1  # several strategies exercised
@@ -87,7 +86,6 @@ def scalar_field_operator():
 def test_sparse_lu_path_on_scalar_field_hamiltonian(monkeypatch):
     basis, H, totals = scalar_field_operator()
     monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 8)
-    monkeypatch.setattr(solvers, "SCHUR_KEPT_CAP", 10)
     solver = StructuredResolvent(H.matrix, 1j, totals, H.labels)
     [(idx, part)] = solver.parts
     assert isinstance(part, solvers._SparseLUSolve) and len(idx) == basis.dim
@@ -146,7 +144,6 @@ def test_block_solves_match_columns_sparse_lu(ex2_operators):
 def test_block_solves_match_columns_schur(ex2_operators, monkeypatch):
     basis, H_ren, _, totals = ex2_operators
     monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 64)
-    monkeypatch.setattr(solvers, "SCHUR_KEPT_CAP", 400)
     solver = StructuredResolvent(H_ren.matrix, 1j, totals, H_ren.labels)
     schur = [(idx, part) for idx, part in solver.parts if isinstance(part, solvers._SchurSolve)]
     assert schur
@@ -200,13 +197,23 @@ def shifted(M, z):
 
 
 def schur_component(monkeypatch):
-    # the largest component of the shipped ex2 H_lim: a Schur path above a cap of 64
+    # the largest component of the shipped ex2 H_lim: a Schur path above a cap of 300
     spec, _, _ = parse_config(CONFIGS / "ex2_default.json")
     basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
     H = h_renormalized(basis, spec)
-    monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 64)
+    monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 300)
     idx = max(solvers.group_components(H.labels)[0], key=len)
     return H.matrix[idx][:, idx].tocsr(), basis.lift(basis.totals)[idx]
+
+
+def test_schur_path_keeps_at_most_the_dense_cap(monkeypatch):
+    # the Schur component keeps 252 of its 714 states: above a cap of 200
+    # its complement would be a dense matrix larger than the cap
+    H_c, totals = schur_component(monkeypatch)
+    keep, elim = solvers.component_path(H_c, totals)
+    assert (len(keep), len(elim)) == (252, 462)
+    monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 200)
+    assert not isinstance(solvers.component_path(H_c, totals), tuple)
 
 
 def gmres_component(monkeypatch):
@@ -217,7 +224,6 @@ def gmres_component(monkeypatch):
 
 def lu_component(monkeypatch):
     monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 8)
-    monkeypatch.setattr(solvers, "SCHUR_KEPT_CAP", 10)
     _, H, totals = scalar_field_operator()
     return H.matrix, totals
 
@@ -250,7 +256,7 @@ def test_resolvent_on_restricted_labels_matches_relabelled(monkeypatch):
     spec, _, _ = parse_config(CONFIGS / "ex2_default.json")
     basis = build_basis(spec.grid, SpinSpace(spec.spin_dim), spec.n_max)
     totals = basis.lift(basis.totals)
-    monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 16)
+    monkeypatch.setattr(solvers, "DENSE_SOLVE_CAP", 24)
     pair = [h_renormalized(basis, spec), h_cutoff(basis, spec, 4.0)[0]]
     merged, singletons = solvers.group_components(solvers.merge_labels(*(H.labels for H in pair)))
     U = np.sort(np.concatenate(merged[::2] + [singletons[::2]]))
@@ -342,15 +348,17 @@ def test_merged_labels_match_split_of_abs_sum(make):
 
 def test_row_blocks_cover_the_rows_in_order():
     rng = np.random.default_rng(2)
-    counts = rng.integers(0, 40, 500)
-    counts[[0, 7, 499]] = [0, 300, 0]  # empty rows and a row longer than a block
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    for step in (None, 1, 50, 700, int(indptr[-1]) + 1):
-        blocks = solvers.row_blocks(indptr, step)
+    # empty rows, and a long row: one within a block, one longer than a
+    # block (sqrt(n nnz) < 5000 entries), one that holds every entry
+    for high, long_row in ((40, 300), (3, 5000), (1, 5000)):
+        counts = rng.integers(0, high, 500)
+        counts[[0, 7, 499]] = [0, long_row, 0]
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        blocks = solvers.row_blocks(indptr)
         starts, ends = np.array(blocks).T
         assert starts[0] == 0 and ends[-1] == 500 and np.array_equal(starts[1:], ends[:-1])
         assert np.all(ends > starts)
-        size = math.isqrt(500 * int(indptr[-1])) if step is None else step
+        size = math.isqrt(500 * int(indptr[-1]))
         held = indptr[ends] - indptr[starts]
         assert np.all(held <= size + counts[starts])
     assert solvers.row_blocks(np.zeros(4, dtype=np.int32)) == [(0, 3)]  # no entries
